@@ -65,6 +65,6 @@ for i, (t, f) in enumerate(zip(truth.per_path, result.best.per_path)):
             f"{getattr(f, name):>10.4f}"
         )
 
-trace = np.asarray(result.fitness_trace)
+trace = result.history["best_fitness"]
 print()
 print(f"fitness trace: {trace[0]:.2f} -> {trace[-1]:.4f} over {len(trace)} generations")

@@ -8,7 +8,6 @@ quantifies parameter uncertainty with randomized-hyperparameter ensembles.
 __version__ = "0.1.0"
 
 from .analysis import (
-    AttributionTrace,
     CutoffReport,
     ErrorReport,
     attribute_operators,
@@ -48,7 +47,6 @@ from .spectra import (
 )
 
 __all__ = [
-    "AttributionTrace",
     "Chromosome",
     "CutoffReport",
     "ErrorReport",

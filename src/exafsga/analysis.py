@@ -3,13 +3,13 @@ operator attribution, and synthetic-data generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitness import FitnessConfig, chi2
-from .ga import Chromosome, FitResult, GAConfig, GeneSpec, default_gene_specs, run_ga
-from .model import evaluate_model, path_contribution
+from .fitness import FitnessConfig, FitnessError
+from .ga import Chromosome, FitResult, GAConfig, GAError, default_gene_specs, run_ga
+from .model import ModelError, ModelEvaluator, evaluate_model
 from .paths import PathSet
 from .spectra import KGrid, KSpectrum
 
@@ -43,17 +43,6 @@ class ErrorReport:
     best_chromosomes: tuple[Chromosome, ...]
     fitness_traces: tuple[np.ndarray, ...]
     n_failed: int = 0
-
-
-@dataclass(frozen=True)
-class AttributionTrace:
-    """Per-generation best-fitness deltas split by operator stage."""
-
-    generation: np.ndarray
-    d_crossover: np.ndarray
-    d_mutation: np.ndarray
-    d_crossover_mean: np.ndarray
-    d_mutation_mean: np.ndarray
 
 
 def synth_generate(
@@ -105,10 +94,8 @@ def cutoff_select(
     if np.count_nonzero(mask) < 2:
         raise AnalysisError("fit range selects fewer than two grid points")
     kw = k[mask] ** k_weight
-    areas = np.empty(len(paths))
-    for i, (path, params) in enumerate(zip(paths, chromosome.per_path)):
-        contrib = path_contribution(path, params, chromosome.delta_e0, grid)
-        areas[i] = np.trapezoid(np.abs(kw * contrib[mask]), k[mask])
+    terms, _ = ModelEvaluator(paths, grid).evaluate_paths(chromosome.to_genes())
+    areas = np.trapezoid(np.abs(kw * terms[:, mask]), k[mask], axis=1)
     total = areas.sum()
     if total <= 0:
         raise AnalysisError("all path contributions are zero; nothing to prune")
@@ -215,7 +202,11 @@ def error_analysis(
 
     Each run samples (population size, generation count, mutation rate)
     uniformly from `ranges` and gets its own derived seed (unless
-    vary_seeds=False, which reuses ga_config.rng_seed for every run).
+    vary_seeds=False, which reuses ga_config.rng_seed for every run).  The
+    rate is clamped to ga_config.mutation_rate_bounds, and the manifest
+    records the clamped rate the run used.  A run that fails with a model,
+    GA or fitness error is recorded in the manifest and counted in n_failed;
+    any other exception propagates.
     """
     if n_runs < 2:
         raise AnalysisError("n_runs must be at least 2")
@@ -224,32 +215,32 @@ def error_analysis(
         gene_specs = default_gene_specs(len(paths))
     names = tuple(s.name for s in gene_specs)
 
+    lo, hi = ga_config.mutation_rate_bounds
     sampler = np.random.default_rng(seed)
     rows, manifest, chroms, traces = [], [], [], []
     n_failed = 0
     for run_idx in range(n_runs):
         pop = int(sampler.integers(ranges["population"][0], ranges["population"][1] + 1))
         gens = int(sampler.integers(ranges["generations"][0], ranges["generations"][1] + 1))
-        mut = float(sampler.uniform(*ranges["mutation_rate"]))
-        lo, hi = ga_config.mutation_rate_bounds
+        rate = min(max(float(sampler.uniform(*ranges["mutation_rate"])), lo), hi)
         run_seed = _derived_seed(seed, run_idx) if vary_seeds else ga_config.rng_seed
         cfg = replace(
             ga_config,
             population_size=pop,
             max_generations=gens,
-            initial_mutation_rate=min(max(mut, lo), hi),
+            initial_mutation_rate=rate,
             rng_seed=run_seed,
         )
         entry = {
             "run": run_idx,
             "population": pop,
             "generations": gens,
-            "mutation_rate": mut,
+            "mutation_rate": rate,
             "seed": run_seed,
         }
         try:
             result = run_ga(data, paths, cfg, fitness_config, gene_specs)
-        except Exception as exc:
+        except (ModelError, GAError, FitnessError) as exc:
             n_failed += 1
             entry["error"] = str(exc)
             manifest.append(entry)
@@ -258,7 +249,7 @@ def error_analysis(
         manifest.append(entry)
         rows.append(result.best.to_genes())
         chroms.append(result.best)
-        traces.append(result.fitness_trace)
+        traces.append(result.history["best_fitness"])
     if len(rows) < 2:
         raise AnalysisError(f"only {len(rows)} successful runs; need at least 2")
 
@@ -276,13 +267,8 @@ def error_analysis(
     )
 
 
-def attribute_operators(result: FitResult) -> AttributionTrace:
-    """Operator-stage fitness deltas recorded by run_ga, as a trace object."""
-    n = len(result.fitness_trace)
-    return AttributionTrace(
-        generation=np.arange(1, n + 1),
-        d_crossover=result.d_crossover,
-        d_mutation=result.d_mutation,
-        d_crossover_mean=result.d_crossover_mean,
-        d_mutation_mean=result.d_mutation_mean,
-    )
+def attribute_operators(result: FitResult) -> np.ndarray:
+    """Operator-stage fitness deltas per generation: a view of result.history."""
+    return result.history[
+        ["generation", "d_crossover", "d_mutation", "d_crossover_mean", "d_mutation_mean"]
+    ]

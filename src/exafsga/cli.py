@@ -12,23 +12,15 @@ import configparser
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    AnalysisError,
-    attribute_operators,
-    cutoff_select,
-    cutoff_sweep,
-    error_analysis,
-    synth_generate,
-)
+from .analysis import cutoff_sweep, error_analysis, synth_generate
 from .fitness import FitnessConfig
-from .ga import Chromosome, GAConfig, GeneSpec, run_ga
+from .ga import Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
 from .model import PathParams, evaluate_model
 from .paths import PathSet, load_manifest, synth_path
 from .spectra import (
@@ -36,11 +28,11 @@ from .spectra import (
     KGrid,
     KSpectrum,
     SpectrumError,
+    atomic_write,
     read_chi_file,
     resample_onto,
     transform_k_to_r,
     write_chi_file,
-    write_r_csv,
 )
 
 MODES = ("fit", "cutoff-sweep", "error-analysis", "synth", "benchmark")
@@ -72,41 +64,69 @@ class RunConfig:
     benchmark_generations: int = 5
 
 
-def _get(section, key, cast=str, default=None, required=False):
-    if key not in section:
+def _get(cp, section: str, key: str, cast=str, default=None, required=False):
+    if section not in cp or key not in cp[section]:
         if required:
-            raise ConfigError(f"[{section.name}] missing required key '{key}'")
+            raise ConfigError(f"[{section}] missing required key '{key}'")
         return default
-    raw = section[key]
+    raw = cp[section][key]
     try:
-        if cast is bool:
-            return section.getboolean(key)
         return cast(raw)
     except ValueError:
-        raise ConfigError(f"[{section.name}] key '{key}': cannot parse {raw!r}") from None
+        raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}") from None
 
 
 def _floats(raw: str) -> list[float]:
     return [float(x) for x in raw.replace(",", " ").split()]
 
 
-def _triple(section, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _triple(raw: str) -> tuple[float, float, float]:
     vals = _floats(raw)
     if len(vals) != 3:
-        raise ConfigError(f"[{section.name}] '{key}' needs 'lower upper step'")
+        raise ValueError("needs 'lower upper step'")
     return tuple(vals)
 
 
-def build_gene_specs(bounds: dict, n_paths: int) -> list[GeneSpec]:
-    specs = [GeneSpec("delta_e0", *bounds["delta_e0"])]
-    for i in range(n_paths):
-        specs.append(GeneSpec(f"s02_{i}", *bounds["s02"]))
-        specs.append(GeneSpec(f"sigma2_{i}", *bounds["sigma2"]))
-        specs.append(GeneSpec(f"delta_r_{i}", *bounds["delta_r"]))
-    return specs
+def _optional_int(raw: str) -> int | None:
+    return int(raw) if raw else None
+
+
+# (section, key, field, cast, default) of every setting that fills KGrid,
+# FTConfig, FitnessConfig, GAConfig and the gene bounds.  Keys that name the
+# same field fill it as a (lower, upper) pair, in table order.
+SETTINGS = (
+    ("grid", "k_min", "k_min", float, 0.5),
+    ("grid", "k_max", "k_max", float, 12.5),
+    ("grid", "delta_k", "delta_k", float, 0.05),
+    ("ft", "k_min_fit", "k_range", float, 2.5),
+    ("ft", "k_max_fit", "k_range", float, 12.0),
+    ("ft", "r_min", "r_range", float, 0.0),
+    ("ft", "r_max", "r_range", float, 6.0),
+    ("ft", "k_weight", "k_weight", int, 2),
+    ("ft", "window", "window", str, "hanning"),
+    ("ft", "window_sill", "window_sill", float, 1.0),
+    ("ft", "n_fft", "n_fft", int, 2048),
+    ("fitness", "space", "space", str, "K"),
+    ("fitness", "n_indep", "n_indep", _optional_int, None),
+    ("fitness", "epsilon", "epsilon", float, 1.0),
+    ("fitness", "k_weight", "k_weight", int, 2),
+    ("ga", "population_size", "population_size", int, 200),
+    ("ga", "max_generations", "max_generations", int, 100),
+    ("ga", "elite_fraction", "elite_fraction", float, 0.2),
+    ("ga", "random_fraction", "random_fraction", float, 0.2),
+    ("ga", "crossover_method", "crossover_method", str, "uniform"),
+    ("ga", "mutation_method", "mutation_method", str, "maximum"),
+    ("ga", "initial_mutation_rate", "initial_mutation_rate", float, 20.0),
+    ("ga", "mutation_rate_min", "mutation_rate_bounds", float, 1.0),
+    ("ga", "mutation_rate_max", "mutation_rate_bounds", float, 90.0),
+    ("ga", "rechenberg_factor", "rechenberg_factor", float, 0.9),
+    ("ga", "patience", "patience", int, 20),
+    ("ga", "rng_seed", "rng_seed", int, 0),
+    ("genes", "delta_e0", "delta_e0", _triple, (-10.0, 10.0, 0.01)),
+    ("genes", "s02", "s02", _triple, (0.0, 1.2, 0.005)),
+    ("genes", "sigma2", "sigma2", _triple, (0.0, 0.02, 1e-4)),
+    ("genes", "delta_r", "delta_r", _triple, (-0.2, 0.2, 1e-3)),
+)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -121,73 +141,25 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: missing [run] section")
 
     run = cp["run"]
-    mode = _get(run, "mode", required=True)
+    mode = _get(cp, "run", "mode", required=True)
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
-    g = cp["grid"] if "grid" in cp else {}
-    grid = KGrid(
-        k_min=float(g.get("k_min", 0.5)),
-        k_max=float(g.get("k_max", 12.5)),
-        delta_k=float(g.get("delta_k", 0.05)),
-    )
-
-    ft_sec = cp["ft"] if "ft" in cp else {}
-    ft = FTConfig(
-        k_range=(
-            float(ft_sec.get("k_min_fit", 2.5)),
-            float(ft_sec.get("k_max_fit", 12.0)),
-        ),
-        r_range=(float(ft_sec.get("r_min", 0.0)), float(ft_sec.get("r_max", 6.0))),
-        k_weight=int(ft_sec.get("k_weight", 2)),
-        window=ft_sec.get("window", "hanning"),
-        window_sill=float(ft_sec.get("window_sill", 1.0)),
-        n_fft=int(ft_sec.get("n_fft", 2048)),
-    )
-
-    f_sec = cp["fitness"] if "fitness" in cp else {}
-    n_indep = f_sec.get("n_indep") if f_sec else None
-    fitness = FitnessConfig(
-        ft=ft,
-        space=f_sec.get("space", "K"),
-        n_indep=int(n_indep) if n_indep else None,
-        epsilon=float(f_sec.get("epsilon", 1.0)),
-        k_weight=int(f_sec.get("k_weight", 2)),
-    )
-
-    ga_sec = cp["ga"] if "ga" in cp else {}
-    ga = GAConfig(
-        population_size=int(ga_sec.get("population_size", 200)),
-        max_generations=int(ga_sec.get("max_generations", 100)),
-        elite_fraction=float(ga_sec.get("elite_fraction", 0.2)),
-        random_fraction=float(ga_sec.get("random_fraction", 0.2)),
-        crossover_method=ga_sec.get("crossover_method", "uniform"),
-        mutation_method=ga_sec.get("mutation_method", "maximum"),
-        initial_mutation_rate=float(ga_sec.get("initial_mutation_rate", 20.0)),
-        mutation_rate_bounds=(
-            float(ga_sec.get("mutation_rate_min", 1.0)),
-            float(ga_sec.get("mutation_rate_max", 90.0)),
-        ),
-        rechenberg_factor=float(ga_sec.get("rechenberg_factor", 0.9)),
-        patience=int(ga_sec.get("patience", 20)),
-        rng_seed=int(ga_sec.get("rng_seed", 0)),
-    )
-
-    genes = cp["genes"] if "genes" in cp else {}
-    bounds = {
-        "delta_e0": _triple(genes, "delta_e0", (-10.0, 10.0, 0.01)) if genes else (-10.0, 10.0, 0.01),
-        "s02": _triple(genes, "s02", (0.0, 1.2, 0.005)) if genes else (0.0, 1.2, 0.005),
-        "sigma2": _triple(genes, "sigma2", (0.0, 0.02, 1e-4)) if genes else (0.0, 0.02, 1e-4),
-        "delta_r": _triple(genes, "delta_r", (-0.2, 0.2, 1e-3)) if genes else (-0.2, 0.2, 1e-3),
-    }
+    fields = {"grid": {}, "ft": {}, "fitness": {}, "ga": {}, "genes": {}}
+    for section, key, field, cast, default in SETTINGS:
+        value = _get(cp, section, key, cast, default)
+        kwargs = fields[section]
+        kwargs[field] = (kwargs[field], value) if field in kwargs else value
+    grid = KGrid(**fields["grid"])
+    fitness = FitnessConfig(ft=FTConfig(**fields["ft"]), **fields["fitness"])
 
     cfg = RunConfig(
         mode=mode,
         output_dir=run.get("output_dir", "out"),
         grid=grid,
-        ga=ga,
+        ga=GAConfig(**fields["ga"]),
         fitness=fitness,
-        gene_bounds=bounds,
+        gene_bounds=fields["genes"],
         data_file=run.get("data_file"),
         path_manifest=run.get("path_manifest"),
     )
@@ -243,19 +215,6 @@ def parse_config(path: str) -> RunConfig:
     return cfg
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def load_data(path: str, grid: KGrid) -> KSpectrum:
     """Read a two-column spectrum file and resample it onto the run grid."""
     k, chi = read_chi_file(path)
@@ -292,52 +251,49 @@ def build_paths(cfg: RunConfig) -> PathSet:
     raise ConfigError("either path_manifest or a [synth_paths] section is required")
 
 
-def _chromosome_lines(chrom: Chromosome, labels, stds=None) -> list[str]:
-    lines = []
-    genes = chrom.to_genes()
+def gene_specs(cfg: RunConfig, n_paths: int) -> list[GeneSpec]:
+    """Gene layout for n_paths paths under the configured [genes] bounds."""
+    b = cfg.gene_bounds
+    return default_gene_specs(n_paths, b["delta_e0"], b["s02"], b["sigma2"], b["delta_r"])
+
+
+def load_inputs(cfg: RunConfig) -> tuple[PathSet, KSpectrum, list[GeneSpec]]:
+    """Paths, data on the run grid and gene specs of a fitting mode."""
+    paths = build_paths(cfg)
+    if not cfg.data_file:
+        raise ConfigError(f"{cfg.mode} mode requires data_file")
+    return paths, load_data(cfg.data_file, cfg.grid), gene_specs(cfg, len(paths))
+
+
+def _write_lines(out: str, name: str, lines) -> str:
+    """Write text lines to out/name atomically; returns the path."""
+    path = os.path.join(out, name)
+    atomic_write(path, "\n".join(lines) + "\n")
+    return path
+
+
+def _write_csv(out: str, name: str, header: str, rows) -> str:
+    """CSV with every float at full precision (%.17g) and other cells as str."""
+    def cell(v) -> str:
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    return _write_lines(out, name, [header, *(",".join(map(cell, row)) for row in rows)])
+
+
+def _chromosome_lines(chrom: Chromosome, labels) -> list[str]:
     names = ["delta_e0"]
     for lbl in labels:
         names += [f"s02[{lbl}]", f"sigma2[{lbl}]", f"delta_r[{lbl}]"]
-    for i, name in enumerate(names):
-        if stds is not None:
-            lines.append(f"{name} = {genes[i]:.6g} +/- {stds[i]:.3g}")
-        else:
-            lines.append(f"{name} = {genes[i]:.6g}")
-    return lines
+    return [f"{name} = {g:.6g}" for name, g in zip(names, chrom.to_genes())]
 
 
 def _write_fit_artifacts(out: str, cfg: RunConfig, data, paths, result) -> list[str]:
-    files = []
     model = evaluate_model(paths, result.best, cfg.grid)
-
-    rows = ["k,chi_data,chi_model"]
-    for k, d, m in zip(cfg.grid.ks, data.chi, model.chi):
-        rows.append(f"{k:.17g},{d:.17g},{m:.17g}")
-    p = os.path.join(out, "model_k.csv")
-    _atomic_write(p, "\n".join(rows) + "\n")
-    files.append(p)
-
     r_model = transform_k_to_r(model, cfg.fitness.ft)
     r_data = transform_k_to_r(data, cfg.fitness.ft)
-    rows = ["r,re_model,im_model,mag_model,mag_data"]
-    for r, c, dmag in zip(r_model.r, r_model.chi_r, r_data.magnitude):
-        rows.append(f"{r:.17g},{c.real:.17g},{c.imag:.17g},{abs(c):.17g},{dmag:.17g}")
-    p = os.path.join(out, "model_r.csv")
-    _atomic_write(p, "\n".join(rows) + "\n")
-    files.append(p)
-
-    att = attribute_operators(result)
-    rows = ["generation,best_fitness,sigma,success_ratio,d_crossover,d_mutation"]
-    for i in range(len(result.fitness_trace)):
-        rows.append(
-            f"{att.generation[i]},{result.fitness_trace[i]:.17g},"
-            f"{result.sigma_trace[i]:.17g},{result.success_trace[i]:.17g},"
-            f"{att.d_crossover[i]:.17g},{att.d_mutation[i]:.17g}"
-        )
-    p = os.path.join(out, "traces.csv")
-    _atomic_write(p, "\n".join(rows) + "\n")
-    files.append(p)
-
+    traces = result.history[
+        ["generation", "best_fitness", "sigma", "success_ratio", "d_crossover", "d_mutation"]
+    ]
     summary = [
         f"exafsga {__version__} fit summary",
         f"exit_reason = {result.exit_reason}",
@@ -353,18 +309,19 @@ def _write_fit_artifacts(out: str, cfg: RunConfig, data, paths, result) -> list[
         + json.dumps(result.metrics_k.get("unweighted", {})),
         "metrics (R-space magnitude): " + json.dumps(result.metrics_r),
     ]
-    p = os.path.join(out, "summary.txt")
-    _atomic_write(p, "\n".join(summary) + "\n")
-    files.append(p)
-    return files
+    return [
+        _write_csv(out, "model_k.csv", "k,chi_data,chi_model",
+                   zip(cfg.grid.ks, data.chi, model.chi)),
+        _write_csv(out, "model_r.csv", "r,re_model,im_model,mag_model,mag_data",
+                   ((r, c.real, c.imag, abs(c), mag)
+                    for r, c, mag in zip(r_model.r, r_model.chi_r, r_data.magnitude))),
+        _write_csv(out, "traces.csv", ",".join(traces.dtype.names), traces.tolist()),
+        _write_lines(out, "summary.txt", summary),
+    ]
 
 
 def _run_fit(cfg: RunConfig, out: str) -> list[str]:
-    paths = build_paths(cfg)
-    if not cfg.data_file:
-        raise ConfigError("fit mode requires data_file")
-    data = load_data(cfg.data_file, cfg.grid)
-    specs = build_gene_specs(cfg.gene_bounds, len(paths))
+    paths, data, specs = load_inputs(cfg)
     result = run_ga(data, paths, cfg.ga, cfg.fitness, specs)
     return _write_fit_artifacts(out, cfg, data, paths, result)
 
@@ -375,20 +332,13 @@ def _run_synth(cfg: RunConfig, out: str) -> list[str]:
         raise ConfigError("synth mode requires a [synth] section with truth parameters")
     spec = synth_generate(paths, cfg.truth, cfg.grid, cfg.snr, seed=cfg.synth_seed)
     p = os.path.join(out, "synthetic_chi.dat")
-    import io
-
-    buf = io.StringIO()
-    buf.write(f"# synthetic spectrum (snr={cfg.snr}, seed={cfg.synth_seed})\n# k chi\n")
-    for k, c in zip(cfg.grid.ks, spec.chi):
-        buf.write(f"{k:.17g} {c:.17g}\n")
-    _atomic_write(p, buf.getvalue())
+    header = f"synthetic spectrum (snr={cfg.snr}, seed={cfg.synth_seed})"
+    write_chi_file(p, cfg.grid.ks, spec.chi, header=header)
     return [p]
 
 
 def _run_cutoff_sweep(cfg: RunConfig, out: str) -> list[str]:
-    paths = build_paths(cfg)
-    data = load_data(cfg.data_file, cfg.grid)
-    specs = build_gene_specs(cfg.gene_bounds, len(paths))
+    paths, data, specs = load_inputs(cfg)
     rows = cutoff_sweep(
         data,
         paths,
@@ -397,20 +347,14 @@ def _run_cutoff_sweep(cfg: RunConfig, out: str) -> list[str]:
         cfg.cutoff_percents or [10, 5, 2, 1, 0.67, 0.5, 0.3],
         gene_specs=specs,
         n_repeat=cfg.cutoff_repeats,
-        gene_spec_builder=lambda n: build_gene_specs(cfg.gene_bounds, n),
+        gene_spec_builder=lambda n: gene_specs(cfg, n),
     )
-    lines = ["percent,mean_chi2,n_paths_kept"]
-    for row in rows:
-        lines.append(f"{row['percent']:.17g},{row['mean_chi2']:.17g},{row['n_paths_kept']}")
-    p = os.path.join(out, "cutoff_sweep.csv")
-    _atomic_write(p, "\n".join(lines) + "\n")
-    return [p]
+    return [_write_csv(out, "cutoff_sweep.csv", "percent,mean_chi2,n_paths_kept",
+                       ((r["percent"], r["mean_chi2"], r["n_paths_kept"]) for r in rows))]
 
 
 def _run_error_analysis(cfg: RunConfig, out: str) -> list[str]:
-    paths = build_paths(cfg)
-    data = load_data(cfg.data_file, cfg.grid)
-    specs = build_gene_specs(cfg.gene_bounds, len(paths))
+    paths, data, specs = load_inputs(cfg)
     report = error_analysis(
         data,
         paths,
@@ -421,39 +365,23 @@ def _run_error_analysis(cfg: RunConfig, out: str) -> list[str]:
         seed=cfg.ga.rng_seed,
         gene_specs=specs,
     )
-    files = []
-    lines = ["parameter,mean,std"]
-    for name, m, s in zip(report.parameter_names, report.means, report.stds):
-        lines.append(f"{name},{m:.17g},{s:.17g}")
-    p = os.path.join(out, "error_report.csv")
-    _atomic_write(p, "\n".join(lines) + "\n")
-    files.append(p)
-
-    lines = ["," + ",".join(report.parameter_names)]
-    for i, name in enumerate(report.parameter_names):
-        lines.append(name + "," + ",".join(f"{v:.17g}" for v in report.covariance[i]))
-    p = os.path.join(out, "covariance.csv")
-    _atomic_write(p, "\n".join(lines) + "\n")
-    files.append(p)
-
-    lines = ["run,population,generations,mutation_rate,seed,best_fitness"]
-    for e in report.manifest:
-        lines.append(
-            f"{e['run']},{e['population']},{e['generations']},"
-            f"{e['mutation_rate']:.17g},{e['seed']},{e.get('best_fitness', 'failed')}"
-        )
-    p = os.path.join(out, "run_manifest.csv")
-    _atomic_write(p, "\n".join(lines) + "\n")
-    files.append(p)
-    return files
+    names = report.parameter_names
+    return [
+        _write_csv(out, "error_report.csv", "parameter,mean,std",
+                   zip(names, report.means, report.stds)),
+        _write_csv(out, "covariance.csv", "," + ",".join(names),
+                   ((n, *row) for n, row in zip(names, report.covariance))),
+        _write_csv(out, "run_manifest.csv",
+                   "run,population,generations,mutation_rate,seed,best_fitness",
+                   ((e["run"], e["population"], e["generations"], e["mutation_rate"],
+                     e["seed"], str(e.get("best_fitness", "failed"))) for e in report.manifest)),
+    ]
 
 
 def benchmark_scaling(
     cfg: RunConfig, n_paths_list, generations: int = 5
 ) -> list[tuple[int, float]]:
     """Seconds per generation as a function of path count, fixed population."""
-    from .ga import default_gene_specs
-
     rows = []
     for n in n_paths_list:
         paths = PathSet(
@@ -477,9 +405,8 @@ def benchmark_scaling(
         ga_cfg = replace(
             cfg.ga, max_generations=generations + 1, patience=generations + 1
         )
-        specs = build_gene_specs(cfg.gene_bounds, n)
         t0 = time.perf_counter()
-        result = run_ga(data, paths, ga_cfg, cfg.fitness, specs)
+        result = run_ga(data, paths, ga_cfg, cfg.fitness, gene_specs(cfg, n))
         elapsed = time.perf_counter() - t0
         rows.append((n, elapsed / result.n_generations))
     return rows
@@ -489,12 +416,7 @@ def _run_benchmark(cfg: RunConfig, out: str) -> list[str]:
     rows = benchmark_scaling(
         cfg, cfg.benchmark_n_paths or [5, 10, 20, 40], cfg.benchmark_generations
     )
-    lines = ["n_paths,seconds_per_generation"]
-    for n, sec in rows:
-        lines.append(f"{n},{sec:.17g}")
-    p = os.path.join(out, "benchmark.csv")
-    _atomic_write(p, "\n".join(lines) + "\n")
-    return [p]
+    return [_write_csv(out, "benchmark.csv", "n_paths,seconds_per_generation", rows)]
 
 
 def run(cfg: RunConfig) -> list[str]:
@@ -515,10 +437,8 @@ def run(cfg: RunConfig) -> list[str]:
         "seed": cfg.ga.rng_seed,
         "artifacts": [os.path.basename(f) for f in files],
     }
-    mpath = os.path.join(out, "manifest.json")
-    _atomic_write(mpath, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    files.append(mpath)
-    return files
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True)
+    return files + [_write_lines(out, "manifest.json", [manifest_text])]
 
 
 def main(argv=None) -> int:
@@ -548,7 +468,7 @@ def main(argv=None) -> int:
 
     try:
         files = run(cfg)
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelEvaluator, evaluate_model_masked
+from .model import ModelEvaluator
 from .paths import PathSet
 from .spectra import FTConfig, KSpectrum, transform_k_to_r
 
@@ -114,10 +114,6 @@ class SpectrumObjective:
             self._data_r = transform_k_to_r(data, config.ft).magnitude
         else:
             self._data_r = None
-
-    def model_spectrum(self, chromosome) -> KSpectrum:
-        chi, _ = evaluate_model_masked(self.paths, chromosome, self.grid)
-        return KSpectrum(grid=self.grid, chi=chi)
 
     def evaluate_genes(self, genes: np.ndarray) -> float:
         chi, valid = self._evaluator.evaluate_genes(genes)

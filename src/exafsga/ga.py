@@ -9,12 +9,12 @@ The whole run is a deterministic function of (data, paths, configs, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fitness import FitnessConfig, FitnessError, SpectrumObjective, metrics
-from .model import PathParams
+from .model import PathParams, evaluate_model_masked
 from .paths import PathSet
 from .spectra import KSpectrum, transform_k_to_r
 
@@ -177,51 +177,48 @@ class GAState:
 
     generation: int
     max_generation: int
-    mutation_rate: float
     delta_f: float = 0.0
-    success_ratio: float = 0.0
+
+
+# One record per generation.  Generation 1 is the initial population: its
+# sigma is the initial mutation rate and its ratios and deltas are 0.  Later
+# rows hold the best fitness after mutation, sigma after the 1/5-rule update,
+# the success ratio that update used, and the change of the best (d_*) and
+# mean (d_*_mean) fitness made by the crossover and mutation stages.
+HISTORY_DTYPE = np.dtype(
+    [("generation", np.int64)]
+    + [
+        (name, np.float64)
+        for name in (
+            "best_fitness", "sigma", "success_ratio", "d_crossover",
+            "d_mutation", "d_crossover_mean", "d_mutation_mean",
+        )
+    ]
+)
 
 
 @dataclass(frozen=True)
 class FitResult:
     best: Chromosome
     best_fitness: float
-    fitness_trace: np.ndarray
-    sigma_trace: np.ndarray
-    success_trace: np.ndarray
-    d_crossover: np.ndarray
-    d_mutation: np.ndarray
-    d_crossover_mean: np.ndarray
-    d_mutation_mean: np.ndarray
-    n_generations: int
+    history: np.ndarray  # HISTORY_DTYPE records, one per generation
     exit_reason: str
     metrics_k: dict
     metrics_r: dict
 
-
-def init_population(specs, n_paths: int, config: GAConfig, rng=None) -> np.ndarray:
-    """population_size gene vectors drawn uniformly from the quantized grids."""
-    specs = list(specs)
-    if len(specs) != 3 * n_paths + 1:
-        raise GAError(f"expected {3 * n_paths + 1} gene specs, got {len(specs)}")
-    codec = GeneCodec(specs)
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    return codec.random(rng, config.population_size)
+    @property
+    def n_generations(self) -> int:
+        return len(self.history)
 
 
-def select(population: np.ndarray, fitnesses: np.ndarray, config: GAConfig):
-    """Stable rank sort (ascending fitness); best elite_fraction retained.
-
-    Returns (elites, parent_pool); the parent pool is the elite set.
-    """
-    population = np.asarray(population)
-    if population.shape[0] < 2:
+def select(fitnesses: np.ndarray, config: GAConfig) -> np.ndarray:
+    """Row indices of the elite: the best elite_fraction of the population
+    by stable rank sort (ascending fitness, ties in row order)."""
+    fitnesses = np.asarray(fitnesses)
+    if fitnesses.shape[0] < 2:
         raise GAError("population must contain at least 2 individuals")
-    order = np.argsort(np.asarray(fitnesses), kind="stable")
-    n_elite = max(1, int(population.shape[0] * config.elite_fraction))
-    elites = population[order[:n_elite]].copy()
-    return elites, elites
+    n_elite = max(1, int(fitnesses.shape[0] * config.elite_fraction))
+    return np.argsort(fitnesses, kind="stable")[:n_elite]
 
 
 def crossover_uniform(parent_a, parent_b, rng: np.random.Generator) -> np.ndarray:
@@ -230,21 +227,20 @@ def crossover_uniform(parent_a, parent_b, rng: np.random.Generator) -> np.ndarra
     return np.where(mask, parent_a, parent_b)
 
 
-def crossover_and(parent_a, parent_b, specs) -> np.ndarray:
+def crossover_and(parent_a, parent_b, codec: GeneCodec) -> np.ndarray:
     """Bitwise AND of the parents' quantized grid indices, per gene."""
-    codec = specs if isinstance(specs, GeneCodec) else GeneCodec(specs)
     return codec.decode(codec.encode(parent_a) & codec.encode(parent_b))
 
 
-def crossover_or(parent_a, parent_b, specs) -> np.ndarray:
+def crossover_or(parent_a, parent_b, codec: GeneCodec) -> np.ndarray:
     """Bitwise OR of the parents' quantized grid indices, clamped to bounds."""
-    codec = specs if isinstance(specs, GeneCodec) else GeneCodec(specs)
     return codec.decode(codec.encode(parent_a) | codec.encode(parent_b))
 
 
-def mutate_maximum(individual, sigma: float, specs, rng: np.random.Generator) -> np.ndarray:
+def mutate_maximum(
+    individual, sigma: float, codec: GeneCodec, rng: np.random.Generator
+) -> np.ndarray:
     """Replace the whole chromosome with a fresh random one with probability sigma%."""
-    codec = specs if isinstance(specs, GeneCodec) else GeneCodec(specs)
     if rng.uniform(0.0, 100.0) < sigma:
         return codec.random(rng)
     return np.asarray(individual).copy()
@@ -253,7 +249,7 @@ def mutate_maximum(individual, sigma: float, specs, rng: np.random.Generator) ->
 def mutate_nested(
     individual,
     sigma: float,
-    specs,
+    codec: GeneCodec,
     rng: np.random.Generator,
     force_inner: bool = False,
 ) -> np.ndarray:
@@ -262,7 +258,6 @@ def mutate_nested(
     With force_inner=True the per-gene draws are skipped and every gene is
     regenerated, which reduces this operator to mutate_maximum.
     """
-    codec = specs if isinstance(specs, GeneCodec) else GeneCodec(specs)
     individual = np.asarray(individual).copy()
     if rng.uniform(0.0, 100.0) >= sigma:
         return individual
@@ -298,7 +293,7 @@ def mutate_metropolis(
     state: GAState,
     rng: np.random.Generator,
     fitness_fn,
-    specs,
+    codec: GeneCodec,
 ) -> tuple[np.ndarray, float]:
     """Annealing-gated mutation of the path genes.
 
@@ -306,7 +301,6 @@ def mutate_metropolis(
     exp(-(f_mut - f_orig)/K) < t with t uniform in [0,1) and K the cooling
     rate.  K <= 0 or non-finite disables thermal acceptance.
     """
-    codec = specs if isinstance(specs, GeneCodec) else GeneCodec(specs)
     individual = np.asarray(individual).copy()
     if rng.uniform(0.0, 100.0) >= sigma:
         return individual, f_orig
@@ -355,47 +349,46 @@ def run_ga(
     """Evolve chromosomes against the data until max_generations or stagnation.
 
     objective_fn (gene vector -> fitness) overrides the spectrum objective;
-    used for diagnostics and benchmarks.
+    used for diagnostics and benchmarks.  A ValueError from the objective
+    (every exafsga error is one) or a non-finite fitness raises GAError
+    naming the generation and individual; other exceptions propagate.
     """
     n_paths = len(paths)
     if gene_specs is None:
         gene_specs = default_gene_specs(n_paths)
-    gene_specs = list(gene_specs)
-    if len(gene_specs) != 3 * n_paths + 1:
-        raise GAError(
-            f"gene specs ({len(gene_specs)}) do not match 3*{n_paths} + 1 genes"
-        )
     codec = GeneCodec(gene_specs)
+    if codec.n_genes != 3 * n_paths + 1:
+        raise GAError(
+            f"gene specs ({codec.n_genes}) do not match 3*{n_paths} + 1 genes"
+        )
     objective = SpectrumObjective(data, paths, fitness_config)
     fitness_fn = objective.evaluate_genes if objective_fn is None else objective_fn
 
+    def score(genes: np.ndarray, generation: int, individual: int) -> float:
+        try:
+            fitness = float(fitness_fn(genes))
+        except ValueError as exc:
+            raise GAError(
+                f"fitness evaluation failed at generation {generation}, "
+                f"individual {individual}: {exc}"
+            ) from exc
+        if not math.isfinite(fitness):
+            raise GAError(
+                f"fitness {fitness} at generation {generation}, "
+                f"individual {individual}, genes {genes.tolist()}"
+            )
+        return fitness
+
     rng = np.random.default_rng(ga_config.rng_seed)
     pop_size = ga_config.population_size
-    n_elite = max(1, int(pop_size * ga_config.elite_fraction))
     n_random = int(pop_size * ga_config.random_fraction)
-    n_child = pop_size - n_elite - n_random
-
-    def evaluate(rows: np.ndarray, generation: int) -> np.ndarray:
-        fits = np.empty(rows.shape[0])
-        for i in range(rows.shape[0]):
-            try:
-                fits[i] = fitness_fn(rows[i])
-            except Exception as exc:
-                raise GAError(
-                    f"fitness evaluation failed at generation {generation}, "
-                    f"individual {i}: {exc}"
-                ) from exc
-        return fits
+    crossover, mutation = ga_config.crossover_method, ga_config.mutation_method
 
     pop = codec.random(rng, pop_size)
-    fits = evaluate(pop, 1)
+    fits = np.array([score(g, 1, i) for i, g in enumerate(pop)])
 
     sigma = float(ga_config.initial_mutation_rate)
-    trace = [float(fits.min())]
-    sigma_trace = [sigma]
-    success_trace = [0.0]
-    d_cross, d_mut = [0.0], [0.0]
-    d_cross_mean, d_mut_mean = [0.0], [0.0]
+    history = [(1, float(fits.min()), sigma, 0.0, 0.0, 0.0, 0.0, 0.0)]
     stall = 0
     exit_reason = "max_generations"
     prev_median = float(np.median(fits))
@@ -403,70 +396,58 @@ def run_ga(
 
     gen = 1
     while gen < ga_config.max_generations:
-        order = np.argsort(fits, kind="stable")
-        elites = pop[order[:n_elite]].copy()
-        elite_fits = fits[order[:n_elite]].copy()
-
-        children = np.empty((n_child, codec.n_genes))
-        for c in range(n_child):
+        elite = select(fits, ga_config)
+        n_elite = elite.size
+        children = np.empty((pop_size - n_elite - n_random, codec.n_genes))
+        for c in range(children.shape[0]):
             i, j = _pick_two_parents(n_elite, rng)
-            pa, pb = elites[i], elites[j]
-            if ga_config.crossover_method == "uniform":
+            pa, pb = pop[elite[i]], pop[elite[j]]
+            if crossover == "uniform":
                 children[c] = crossover_uniform(pa, pb, rng)
-            elif ga_config.crossover_method == "and":
+            elif crossover == "and":
                 children[c] = crossover_and(pa, pb, codec)
             else:
                 children[c] = crossover_or(pa, pb, codec)
-        randoms = codec.random(rng, n_random)
 
         gen += 1
-        new_pop = np.vstack([elites, children, randoms])
-        new_fits = np.concatenate(
-            [elite_fits, evaluate(children, gen), evaluate(randoms, gen)]
+        pop = np.vstack([pop[elite], children, codec.random(rng, n_random)])
+        fits = np.concatenate(
+            [fits[elite], [score(pop[i], gen, i) for i in range(n_elite, pop_size)]]
         )
-        best_after_cross = float(new_fits.min())
-        mean_after_cross = float(new_fits.mean())
+        prev_best = history[-1][1]
+        best_after_cross = float(fits.min())
+        mean_after_cross = float(fits.mean())
 
-        delta_f = abs(trace[-1] - trace[-2]) if len(trace) >= 2 else 0.0
+        delta_f = abs(prev_best - history[-2][1]) if len(history) >= 2 else 0.0
         state = GAState(
-            generation=gen - 1,
-            max_generation=ga_config.max_generations,
-            mutation_rate=sigma,
-            delta_f=delta_f,
+            generation=gen - 1, max_generation=ga_config.max_generations, delta_f=delta_f
         )
         for idx in range(n_elite, pop_size):
-            if ga_config.mutation_method == "maximum":
-                mutant = mutate_maximum(new_pop[idx], sigma, codec, rng)
-                if not np.array_equal(mutant, new_pop[idx]):
-                    new_pop[idx] = mutant
-                    new_fits[idx] = fitness_fn(mutant)
-            elif ga_config.mutation_method == "nested":
-                mutant = mutate_nested(new_pop[idx], sigma, codec, rng)
-                if not np.array_equal(mutant, new_pop[idx]):
-                    new_pop[idx] = mutant
-                    new_fits[idx] = fitness_fn(mutant)
-            else:
-                new_pop[idx], new_fits[idx] = mutate_metropolis(
-                    new_pop[idx], sigma, new_fits[idx], state, rng, fitness_fn, codec
+            if mutation == "metropolis":
+                pop[idx], fits[idx] = mutate_metropolis(
+                    pop[idx], sigma, fits[idx], state, rng,
+                    lambda g: score(g, gen, idx), codec,
                 )
+                continue
+            if mutation == "maximum":
+                mutant = mutate_maximum(pop[idx], sigma, codec, rng)
+            else:
+                mutant = mutate_nested(pop[idx], sigma, codec, rng)
+            if not np.array_equal(mutant, pop[idx]):
+                pop[idx], fits[idx] = mutant, score(mutant, gen, idx)
 
-        pop, fits = new_pop, new_fits
         best = float(fits.min())
         mean_after_mut = float(fits.mean())
-
-        success = float(np.mean(fits[n_elite:] < prev_median)) if pop_size > n_elite else 0.0
+        success = float(np.mean(fits[n_elite:] < prev_median))
         prev_median = float(np.median(fits))
-
-        d_cross.append(best_after_cross - trace[-1])
-        d_mut.append(best - best_after_cross)
-        d_cross_mean.append(mean_after_cross - prev_mean)
-        d_mut_mean.append(mean_after_mut - mean_after_cross)
-        prev_mean = mean_after_mut
-        stall = 0 if best < trace[-1] else stall + 1
-        trace.append(best)
-        success_trace.append(success)
+        stall = 0 if best < prev_best else stall + 1
         sigma = rechenberg_update(sigma, success, ga_config)
-        sigma_trace.append(sigma)
+        history.append((
+            gen, best, sigma, success,
+            best_after_cross - prev_best, best - best_after_cross,
+            mean_after_cross - prev_mean, mean_after_mut - mean_after_cross,
+        ))
+        prev_mean = mean_after_mut
 
         if stall >= ga_config.patience:
             exit_reason = "stagnation"
@@ -479,8 +460,6 @@ def run_ga(
     metrics_k: dict = {}
     metrics_r: dict = {}
     if objective_fn is None:
-        from .model import evaluate_model_masked
-
         chi, valid = evaluate_model_masked(paths, best_chrom, data.grid)
         k = data.grid.ks
         lo, hi = fitness_config.ft.k_range
@@ -502,14 +481,7 @@ def run_ga(
     return FitResult(
         best=best_chrom,
         best_fitness=float(fits[best_idx]),
-        fitness_trace=np.array(trace),
-        sigma_trace=np.array(sigma_trace),
-        success_trace=np.array(success_trace),
-        d_crossover=np.array(d_cross),
-        d_mutation=np.array(d_mut),
-        d_crossover_mean=np.array(d_cross_mean),
-        d_mutation_mean=np.array(d_mut_mean),
-        n_generations=len(trace),
+        history=np.array(history, dtype=HISTORY_DTYPE),
         exit_reason=exit_reason,
         metrics_k=metrics_k,
         metrics_r=metrics_r,

@@ -55,39 +55,8 @@ def path_contribution(
     grid: KGrid,
 ) -> np.ndarray:
     """One summand of the EXAFS equation on the grid; invalid points are 0."""
-    kp, valid = shift_k(grid, delta_e0)
-    return _contribution_at(path, params, kp, valid)
-
-
-def _contribution_at(
-    path: ScatteringPath,
-    params: PathParams,
-    kp: np.ndarray,
-    valid: np.ndarray,
-) -> np.ndarray:
-    r = path.r_eff + params.delta_r
-    if r <= 0:
-        raise ModelError(
-            f"path {path.label}: r_eff + delta_r = {r} must be positive"
-        )
-    out = np.zeros_like(kp)
-    if not np.any(valid):
-        return out
-    kv = kp[valid]
-    kt = path.k_theory
-    if kv.min() < kt[0] - 1e-9 or kv.max() > kt[-1] + 1e-9:
-        raise ModelError(
-            f"path {path.label}: shifted k in [{kv.min():.3f}, {kv.max():.3f}] "
-            f"outside theory range [{kt[0]:.3f}, {kt[-1]:.3f}]"
-        )
-    f = np.interp(kv, kt, path.f_eff)
-    phi = np.interp(kv, kt, path.phase_scatter)
-    dc = np.interp(kv, kt, path.phase_central)
-    lam = np.interp(kv, kt, path.lam)
-    amp = params.s02 * path.degeneracy * f / (kv * r**2)
-    damping = np.exp(-2.0 * params.sigma2 * kv**2) * np.exp(-2.0 * r / lam)
-    out[valid] = amp * damping * np.sin(2.0 * kv * r + phi + dc)
-    return out
+    genes = [delta_e0, params.s02, params.sigma2, params.delta_r]
+    return ModelEvaluator(PathSet(paths=(path,)), grid).evaluate_paths(genes)[0][0]
 
 
 def evaluate_model_masked(
@@ -95,18 +64,11 @@ def evaluate_model_masked(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model chi(k) plus the validity mask from the energy shift.
 
-    `chromosome` provides .delta_e0 and .per_path (a PathParams per path).
+    `chromosome` provides .to_genes() (a flat gene vector, see
+    ModelEvaluator.evaluate_genes).
     """
-    if len(chromosome.per_path) != len(paths):
-        raise ModelError(
-            f"chromosome has {len(chromosome.per_path)} path-parameter sets "
-            f"for {len(paths)} paths"
-        )
-    kp, valid = shift_k(grid, chromosome.delta_e0)
-    total = np.zeros(grid.n_points)
-    for path, params in zip(paths, chromosome.per_path):
-        total += _contribution_at(path, params, kp, valid)
-    return total, valid
+    terms, valid = ModelEvaluator(paths, grid).evaluate_paths(chromosome.to_genes())
+    return terms.sum(axis=0), valid
 
 
 def evaluate_model(paths: PathSet, chromosome, grid: KGrid) -> KSpectrum:
@@ -116,12 +78,12 @@ def evaluate_model(paths: PathSet, chromosome, grid: KGrid) -> KSpectrum:
 
 
 class ModelEvaluator:
-    """Vectorized model evaluation over a fixed (paths, grid) pair.
+    """Vectorized model evaluation over a fixed (paths, grid) pair: the one
+    implementation of the EXAFS equation.
 
     Interpolation tables depend only on delta_e0, which is quantized in the
     genetic search, so they are cached per value; the remaining arithmetic
-    is vectorized across paths.  Produces the same values as
-    evaluate_model_masked (up to floating-point summation order).
+    is vectorized across paths.
     """
 
     def __init__(self, paths: PathSet, grid: KGrid, cache_size: int = 4096):
@@ -166,14 +128,12 @@ class ModelEvaluator:
             self._cache.popitem(last=False)
         return entry
 
-    def evaluate_genes(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """chi(k) and validity mask from a flat gene vector
-        [delta_e0, (s02, sigma2, delta_r) per path]."""
-        genes = np.asarray(genes, dtype=float)
+    def _terms(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-path summands at the valid points, shape (n_paths, n_valid),
+        and the validity mask."""
         valid, kv, kv2, f, phase, lam = self._tables(genes[0])
-        out = np.zeros(self.grid.n_points)
         if kv.size == 0:
-            return out, valid
+            return np.empty((self.n_paths, 0)), valid
         s02 = genes[1::3]
         sigma2 = genes[2::3]
         r = self.r_eff + genes[3::3]
@@ -188,5 +148,23 @@ class ModelEvaluator:
             -2.0 * r[:, None] / lam
         )
         osc = np.sin(2.0 * kv[None, :] * r[:, None] + phase)
-        out[valid] = (amp * damping * osc).sum(axis=0)
+        return amp * damping * osc, valid
+
+    def evaluate_genes(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """chi(k) and validity mask from a flat gene vector
+        [delta_e0, (s02, sigma2, delta_r) per path]."""
+        terms, valid = self._terms(np.asarray(genes, dtype=float))
+        out = np.zeros(self.grid.n_points)
+        out[valid] = terms.sum(axis=0)
+        return out, valid
+
+    def evaluate_paths(self, genes) -> tuple[np.ndarray, np.ndarray]:
+        """Unsummed model: one chi(k) row per path (0 at invalid points),
+        and the validity mask."""
+        genes = np.asarray(genes, dtype=float)
+        if genes.size != 1 + 3 * self.n_paths:
+            raise ModelError(f"{genes.size} genes for {self.n_paths} paths")
+        terms, valid = self._terms(genes)
+        out = np.zeros((self.n_paths, self.grid.n_points))
+        out[:, valid] = terms
         return out, valid

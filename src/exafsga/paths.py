@@ -10,7 +10,7 @@ lines, a column-header line, and 7-column data rows:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,9 @@ distances r_m = m*pi/(n_fft*delta_k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import os
+import tempfile
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -220,20 +222,22 @@ def read_chi_file(path) -> tuple[np.ndarray, np.ndarray]:
     return k, np.asarray(chis)
 
 
+def atomic_write(path, text: str) -> None:
+    """Write text to path via a temporary file in the same directory and a
+    rename, so readers never see a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp_")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_chi_file(path, k: np.ndarray, chi: np.ndarray, header: str = "") -> None:
-    """Write a two-column (k, chi) text file."""
-    with open(path, "w") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("# k chi\n")
-        for ki, ci in zip(k, chi):
-            fh.write(f"{ki:.17g} {ci:.17g}\n")
-
-
-def write_r_csv(path, rspec: RSpectrum) -> None:
-    """Write an R-spectrum as CSV with columns r, Re, Im, magnitude."""
-    with open(path, "w") as fh:
-        fh.write("r,re,im,magnitude\n")
-        for r, c in zip(rspec.r, rspec.chi_r):
-            fh.write(f"{r:.17g},{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n")
+    """Write a two-column (k, chi) text file, atomically."""
+    lines = [f"# {line}" for line in header.splitlines()] + ["# k chi"]
+    lines += [f"{ki:.17g} {ci:.17g}" for ki, ci in zip(k, chi)]
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -378,7 +378,7 @@ class TestPropertySuite:
         cfg = GAConfig(population_size=60, max_generations=20, rng_seed=5,
                        patience=20)
         result = run_ga(data, paths, cfg, FITNESS, specs)
-        checks["elitism"] = bool(np.all(np.diff(result.fitness_trace) <= 0.0))
+        checks["elitism"] = bool(np.all(np.diff(result.history["best_fitness"]) <= 0.0))
 
         # every evaluated individual stays within gene bounds
         codec = GeneCodec(specs)

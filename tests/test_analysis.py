@@ -10,7 +10,7 @@ from exafsga.analysis import (
     error_analysis,
     synth_generate,
 )
-from exafsga.fitness import FitnessConfig
+from exafsga.fitness import FitnessConfig, SpectrumObjective
 from exafsga.ga import Chromosome, GAConfig, GeneSpec, run_ga
 from exafsga.model import PathParams, evaluate_model
 from exafsga.paths import PathSet, synth_path
@@ -195,6 +195,30 @@ class TestErrorAnalysis:
             error_analysis(data, paths, ga, fitness, n_runs=1,
                            ranges={"population": (20, 20)}, seed=0)
 
+    def test_manifest_records_clamped_rate(self):
+        # Seed 4 draws mutation rates 94.3, 51.1, 97.6 and 8.1 from the default
+        # range (0, 100); the first and third runs run at the upper bound, 90.
+        paths, truth, data, fitness, ga = small_problem()
+        report = error_analysis(
+            data, paths, ga, fitness, n_runs=4,
+            ranges={"population": (20, 20), "generations": (3, 3)}, seed=4,
+        )
+        rates = [e["mutation_rate"] for e in report.manifest]
+        assert rates[0] == rates[2] == ga.mutation_rate_bounds[1] == 90.0
+        assert rates[1] == pytest.approx(51.1, abs=0.05)
+        assert rates[3] == pytest.approx(8.1, abs=0.05)
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        paths, truth, data, fitness, ga = small_problem()
+
+        def broken(self, genes):
+            raise TypeError("bug in the objective")
+
+        monkeypatch.setattr(SpectrumObjective, "evaluate_genes", broken)
+        with pytest.raises(TypeError, match="bug in the objective"):
+            error_analysis(data, paths, ga, fitness, n_runs=2,
+                           ranges={"population": (20, 20)}, seed=0)
+
     def test_default_ranges_exposed(self):
         assert DEFAULT_HYPER_RANGES["population"] == (100, 5000)
         assert DEFAULT_HYPER_RANGES["generations"] == (10, 50)
@@ -224,6 +248,7 @@ class TestAttribution:
         paths, truth, data, fitness, ga = small_problem()
         result = run_ga(data, paths, ga, fitness)
         trace = attribute_operators(result)
-        total = trace.d_crossover + trace.d_mutation
-        np.testing.assert_allclose(total[1:], np.diff(result.fitness_trace), atol=1e-12)
-        assert len(trace.generation) == len(result.fitness_trace)
+        total = trace["d_crossover"] + trace["d_mutation"]
+        best = result.history["best_fitness"]
+        np.testing.assert_allclose(total[1:], np.diff(best), atol=1e-12)
+        assert list(trace["generation"]) == list(range(1, len(best) + 1))

@@ -6,8 +6,8 @@ import pytest
 
 from exafsga.cli import (
     ConfigError,
-    build_gene_specs,
     load_data,
+    load_inputs,
     main,
     parse_config,
 )
@@ -111,6 +111,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(cfg)
 
+    def test_bad_value_names_section_and_key(self, tmp_path):
+        cfg = write_config(tmp_path, "[run]\nmode = fit\n\n[ga]\npatience = soon\n")
+        with pytest.raises(ConfigError, match=r"\[ga\] key 'patience': cannot parse 'soon'"):
+            parse_config(cfg)
+
     def test_synth_lists_length_mismatch(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -122,18 +127,16 @@ class TestParseConfig:
 
 
 class TestBuildGeneSpecs:
-    def test_layout(self):
-        bounds = {
-            "delta_e0": (-2.0, 2.0, 0.01),
-            "s02": (0.0, 1.0, 0.01),
-            "sigma2": (0.0, 0.01, 5e-4),
-            "delta_r": (-0.05, 0.05, 5e-3),
-        }
-        specs = build_gene_specs(bounds, 3)
-        assert len(specs) == 10
-        assert specs[0].name == "delta_e0"
-        assert specs[1].name == "s02_0"
-        assert specs[9].name == "delta_r_2"
+    def test_layout(self, tmp_path):
+        data = run_synth(tmp_path)
+        text = FIT_CONFIG.format(out=tmp_path / "out", data=data).replace(
+            "shell2 = 3.0 12 0.7", "shell2 = 3.0 12 0.7\nshell3 = 3.5 6 0.5"
+        )
+        paths, _, specs = load_inputs(parse_config(write_config(tmp_path, text)))
+        assert len(paths) == 3 and len(specs) == 10
+        assert [specs[0].name, specs[1].name, specs[9].name] == ["delta_e0", "s02_0", "delta_r_2"]
+        assert (specs[0].lower, specs[0].upper, specs[0].step) == (-2.0, 2.0, 0.01)
+        assert (specs[9].lower, specs[9].upper, specs[9].step) == (-0.05, 0.05, 0.005)
 
 
 class TestLoadData:
@@ -233,14 +236,16 @@ class TestMainFit:
         for name in ("model_k.csv", "model_r.csv", "traces.csv", "summary.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    def test_missing_data_file_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["fit", "cutoff-sweep", "error-analysis"])
+    def test_missing_data_file_is_config_error(self, tmp_path, capsys, mode):
         out = tmp_path / "fit_out"
-        text = FIT_CONFIG.format(out=out, data="ignored")
+        text = FIT_CONFIG.format(out=out, data="ignored").replace("mode = fit", f"mode = {mode}")
         text = "\n".join(
             line for line in text.splitlines() if not line.startswith("data_file")
         )
         cfg = write_config(tmp_path, text, "fit.ini")
-        assert main(["fit", "--config", cfg]) == 2
+        assert main([mode, "--config", cfg]) == 2
+        assert f"config error: {mode} mode requires data_file" in capsys.readouterr().err
 
 
 class TestMainErrors:

@@ -14,7 +14,6 @@ from exafsga.ga import (
     crossover_or,
     crossover_uniform,
     default_gene_specs,
-    init_population,
     mutate_maximum,
     mutate_metropolis,
     mutate_nested,
@@ -22,7 +21,7 @@ from exafsga.ga import (
     run_ga,
     select,
 )
-from exafsga.model import PathParams, evaluate_model
+from exafsga.model import ModelError, PathParams
 from exafsga.paths import PathSet, synth_path
 from exafsga.spectra import FTConfig, KGrid
 
@@ -49,51 +48,46 @@ class TestGeneSpec:
 
 
 class TestInitPopulation:
+    """run_ga draws its initial population with GeneCodec.random(rng, size)."""
+
     def test_bounds(self):
-        cfg = GAConfig(population_size=1000, rng_seed=1)
         codec = GeneCodec(SPECS)
         for seed in range(10):
-            pop = init_population(SPECS, 2, GAConfig(population_size=1000, rng_seed=seed))
-            assert codec.contains(pop)
+            assert codec.contains(codec.random(np.random.default_rng(seed), 1000))
 
     def test_determinism(self):
-        cfg = GAConfig(population_size=50, rng_seed=42)
-        a = init_population(SPECS, 2, cfg)
-        b = init_population(SPECS, 2, cfg)
+        codec = GeneCodec(SPECS)
+        a = codec.random(np.random.default_rng(42), 50)
+        b = codec.random(np.random.default_rng(42), 50)
         assert np.array_equal(a, b)
 
     def test_two_level_gene_exhaustive(self):
         specs = [GeneSpec("delta_e0", 0.0, 1.0, 1.0)] + default_gene_specs(1)[1:]
-        pop = init_population(specs, 1, GAConfig(population_size=5000, rng_seed=0))
+        pop = GeneCodec(specs).random(np.random.default_rng(0), 5000)
         values = set(pop[:, 0])
         assert values == {0.0, 1.0}
 
     def test_spec_count_checked(self):
-        with pytest.raises(GAError):
-            init_population(SPECS, 3, GAConfig())
+        fx = FitFixture(n_paths=3)
+        with pytest.raises(GAError, match="gene specs"):
+            run_ga(fx.data, fx.paths, GAConfig(), fx.fitness, SPECS)
 
 
 class TestSelect:
     def test_elite_count(self):
         cfg = GAConfig(population_size=10, elite_fraction=0.2)
-        pop = np.arange(10.0)[:, None]
         fits = np.arange(10.0)[::-1]  # best (lowest) fitness is the last row
-        elites, pool = select(pop, fits, cfg)
-        assert elites.shape[0] == 2
-        assert elites[0, 0] == 9.0 and elites[1, 0] == 8.0
-        assert np.array_equal(elites, pool)
+        assert list(select(fits, cfg)) == [9, 8]
 
     def test_stable_tie_break(self):
         cfg = GAConfig(population_size=4, elite_fraction=0.5)
-        pop = np.array([[1.0], [2.0], [3.0], [4.0]])
         fits = np.array([5.0, 1.0, 1.0, 0.5])
-        elites, _ = select(pop, fits, cfg)
         # fitness ties (rows 1 and 2) keep original order
-        assert list(elites[:, 0]) == [4.0, 2.0]
+        assert list(select(fits, cfg)) == [3, 1]
 
     def test_too_small(self):
         with pytest.raises(GAError):
-            select(np.zeros((1, 3)), np.zeros(1), GAConfig())
+            select(np.zeros(1), GAConfig())
 
 
 class TestCrossover:
@@ -241,9 +235,7 @@ class TestCoolingRate:
 class TestMutateMetropolis:
     def setup_method(self):
         self.codec = GeneCodec(default_gene_specs(2))
-        self.state = GAState(
-            generation=50, max_generation=100, mutation_rate=50.0, delta_f=1.0
-        )
+        self.state = GAState(generation=50, max_generation=100, delta_f=1.0)
 
     def test_improving_always_accepted(self):
         rng = np.random.default_rng(0)
@@ -277,7 +269,7 @@ class TestMutateMetropolis:
     def test_worse_rejected_when_cooling_invalid(self):
         rng = np.random.default_rng(3)
         ind = self.codec.random(rng)
-        state = GAState(generation=0, max_generation=100, mutation_rate=50.0, delta_f=1.0)
+        state = GAState(generation=0, max_generation=100, delta_f=1.0)
         for _ in range(50):
             out, f = mutate_metropolis(
                 ind, 100.0, 5.0, state, rng, lambda g: 50.0, self.codec
@@ -291,7 +283,7 @@ class TestMutateMetropolis:
         k_target = -df / np.log(0.7)
         i, i_max = 50, 100
         delta_f = k_target * -np.log(1 - i / i_max)
-        state = GAState(generation=i, max_generation=i_max, mutation_rate=100.0, delta_f=delta_f)
+        state = GAState(generation=i, max_generation=i_max, delta_f=delta_f)
         rng = np.random.default_rng(4)
         ind = self.codec.random(rng)
         n, accepted = 4000, 0
@@ -385,9 +377,8 @@ class TestRunGA:
         cfg = GAConfig(population_size=60, max_generations=12, rng_seed=17, patience=12)
         a = run_ga(fx.data, fx.paths, cfg, fx.fitness)
         b = run_ga(fx.data, fx.paths, cfg, fx.fitness)
-        assert np.array_equal(a.fitness_trace, b.fitness_trace)
+        assert np.array_equal(a.history, b.history)
         assert np.array_equal(a.best.to_genes(), b.best.to_genes())
-        assert np.array_equal(a.sigma_trace, b.sigma_trace)
         assert a.exit_reason == b.exit_reason
 
     @pytest.mark.parametrize("crossover", ["uniform", "and", "or"])
@@ -409,7 +400,7 @@ class TestRunGA:
         fx = FitFixture(snr=10)
         cfg = GAConfig(population_size=50, max_generations=25, rng_seed=2, patience=25)
         result = run_ga(fx.data, fx.paths, cfg, fx.fitness)
-        assert np.all(np.diff(result.fitness_trace) <= 0.0)
+        assert np.all(np.diff(result.history["best_fitness"]) <= 0.0)
 
     def test_sigma_trace_respects_bounds_and_factor(self):
         fx = FitFixture(snr=10)
@@ -419,7 +410,7 @@ class TestRunGA:
         )
         result = run_ga(fx.data, fx.paths, cfg, fx.fitness)
         lo, hi = cfg.mutation_rate_bounds
-        s = result.sigma_trace
+        s = result.history["sigma"]
         assert np.all((s >= lo) & (s <= hi))
         for prev, cur in zip(s, s[1:]):
             ratios = {cur / prev, cur * 0.8 / prev, cur / (0.8 * prev)}
@@ -441,12 +432,46 @@ class TestRunGA:
             result = run_ga(fx.data, fx.paths, cfg, fx.fitness, specs)
             assert codec.contains(result.best.to_genes())
 
+    def failing_objective(self, fail_at, value):
+        """Objective that returns `value` (raising it if it is an exception)
+        on call `fail_at` and a finite fitness otherwise."""
+        calls = []
+
+        def objective(genes):
+            calls.append(1)
+            if len(calls) == fail_at:
+                if isinstance(value, Exception):
+                    raise value
+                return value
+            return float(np.sum(genes**2))
+
+        return objective
+
+    def test_mutation_stage_error_has_context(self):
+        # pop 20 = 4 elites + 12 children + 4 randoms: 20 initial calls and 16
+        # at generation 2, so call 37 scores the first mutant (row 4) there.
+        fx = FitFixture(n_paths=1)
+        cfg = GAConfig(population_size=20, max_generations=5, initial_mutation_rate=100.0,
+                       mutation_rate_bounds=(1.0, 100.0), rng_seed=0)
+        objective = self.failing_objective(37, ModelError("out of range"))
+        with pytest.raises(GAError, match="generation 2, individual 4: out of range"):
+            run_ga(fx.data, fx.paths, cfg, fx.fitness, default_gene_specs(1), objective)
+
+    @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
+    def test_non_finite_fitness_raises(self, value):
+        fx = FitFixture(n_paths=1)
+        cfg = GAConfig(population_size=20, max_generations=5, rng_seed=0)
+        objective = self.failing_objective(30, value)
+        with pytest.raises(GAError, match=r"generation 2, individual 13, genes \["):
+            run_ga(fx.data, fx.paths, cfg, fx.fitness, default_gene_specs(1), objective)
+
     def test_attribution_telescopes(self):
         fx = FitFixture(snr=20)
         cfg = GAConfig(population_size=40, max_generations=15, rng_seed=6, patience=15)
         result = run_ga(fx.data, fx.paths, cfg, fx.fitness)
-        total = result.d_crossover + result.d_mutation
-        np.testing.assert_allclose(total[1:], np.diff(result.fitness_trace), atol=1e-12)
+        h = result.history
+        total = h["d_crossover"] + h["d_mutation"]
+        np.testing.assert_allclose(total[1:], np.diff(h["best_fitness"]), atol=1e-12)
 
 
 class TestChromosome:

@@ -7,7 +7,6 @@ from exafsga.model import (
     ModelEvaluator,
     PathParams,
     evaluate_model,
-    evaluate_model_masked,
     path_contribution,
     shift_k,
 )
@@ -28,6 +27,32 @@ def flat_amplitude_path(grid, r_eff=2.0, lam=1e14):
         phase_central=np.zeros_like(k),
         lam=np.full_like(k, lam),
     )
+
+
+def naive_model(ps, delta_e0, params, grid):
+    """Independent, literal coding of the full model equation, point by point."""
+    expected = np.zeros(grid.n_points)
+    for j, kj in enumerate(grid.ks):
+        rad = kj**2 - EV_TO_KSQ * delta_e0
+        if rad <= 0:
+            continue
+        kp = np.sqrt(rad)
+        for p, pp in zip(ps, params):
+            r = p.r_eff + pp.delta_r
+            f = np.interp(kp, p.k_theory, p.f_eff)
+            phi = np.interp(kp, p.k_theory, p.phase_scatter)
+            dc = np.interp(kp, p.k_theory, p.phase_central)
+            lam = np.interp(kp, p.k_theory, p.lam)
+            expected[j] += (
+                pp.s02
+                * p.degeneracy
+                * f
+                / (kp * r**2)
+                * np.exp(-2 * pp.sigma2 * kp**2)
+                * np.exp(-2 * r / lam)
+                * np.sin(2 * kp * r + phi + dc)
+            )
+    return expected
 
 
 class TestShiftK:
@@ -145,7 +170,6 @@ class TestEvaluateModel:
         np.testing.assert_allclose(total, parts, rtol=1e-12, atol=1e-15)
 
     def test_matches_naive_summation(self):
-        # Independent, literal coding of the full model equation.
         grid = KGrid(0.5, 12.0, 0.05)
         ps = self.make_set(grid)
         rng = np.random.default_rng(11)
@@ -156,28 +180,7 @@ class TestEvaluateModel:
         delta_e0 = -1.7
         chrom = Chromosome(delta_e0, params)
         got = evaluate_model(ps, chrom, grid).chi
-
-        expected = np.zeros(grid.n_points)
-        for j, kj in enumerate(grid.ks):
-            rad = kj**2 - EV_TO_KSQ * delta_e0
-            if rad <= 0:
-                continue
-            kp = np.sqrt(rad)
-            for p, pp in zip(ps, params):
-                r = p.r_eff + pp.delta_r
-                f = np.interp(kp, p.k_theory, p.f_eff)
-                phi = np.interp(kp, p.k_theory, p.phase_scatter)
-                dc = np.interp(kp, p.k_theory, p.phase_central)
-                lam = np.interp(kp, p.k_theory, p.lam)
-                expected[j] += (
-                    pp.s02
-                    * p.degeneracy
-                    * f
-                    / (kp * r**2)
-                    * np.exp(-2 * pp.sigma2 * kp**2)
-                    * np.exp(-2 * r / lam)
-                    * np.sin(2 * kp * r + phi + dc)
-                )
+        expected = naive_model(ps, delta_e0, params, grid)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-16)
 
     def test_wrong_param_count(self):
@@ -215,10 +218,13 @@ class TestModelEvaluator:
                 ]
             )
             chrom = Chromosome.from_genes(genes)
-            fast, valid_f = ev.evaluate_genes(genes)
-            ref, valid_r = evaluate_model_masked(ps, chrom, grid)
-            assert np.array_equal(valid_f, valid_r)
+            fast, valid = ev.evaluate_genes(genes)
+            assert np.array_equal(valid, shift_k(grid, genes[0])[1])
+            ref = naive_model(ps, chrom.delta_e0, chrom.per_path, grid)
             np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-16)
+            rows, valid_p = ev.evaluate_paths(genes)
+            assert rows.shape == (4, grid.n_points) and np.array_equal(valid_p, valid)
+            np.testing.assert_allclose(rows.sum(axis=0), fast, rtol=1e-12, atol=1e-16)
 
     def test_cache_consistency(self):
         grid = KGrid(0.5, 12.0, 0.05)
