@@ -23,6 +23,7 @@ from .ga import (
     GAConfig,
     GeneSpec,
     default_gene_specs,
+    evolve,
     run_ga,
 )
 from .model import PathParams, evaluate_model, path_contribution, shift_k
@@ -71,6 +72,7 @@ __all__ = [
     "error_analysis",
     "estimate_epsilon",
     "evaluate_model",
+    "evolve",
     "load_manifest",
     "load_path_file",
     "make_window",

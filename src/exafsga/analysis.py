@@ -196,13 +196,11 @@ def error_analysis(
     ranges: dict | None = None,
     seed: int = 0,
     gene_specs=None,
-    vary_seeds: bool = True,
 ) -> ErrorReport:
     """Repeat the fit under randomized GA hyperparameters and aggregate.
 
     Each run samples (population size, generation count, mutation rate)
-    uniformly from `ranges` and gets its own derived seed (unless
-    vary_seeds=False, which reuses ga_config.rng_seed for every run).  The
+    uniformly from `ranges` and gets its own seed, derived from `seed`.  The
     rate is clamped to ga_config.mutation_rate_bounds, and the manifest
     records the clamped rate the run used.  A run that fails with a model,
     GA or fitness error is recorded in the manifest and counted in n_failed;
@@ -223,7 +221,7 @@ def error_analysis(
         pop = int(sampler.integers(ranges["population"][0], ranges["population"][1] + 1))
         gens = int(sampler.integers(ranges["generations"][0], ranges["generations"][1] + 1))
         rate = min(max(float(sampler.uniform(*ranges["mutation_rate"])), lo), hi)
-        run_seed = _derived_seed(seed, run_idx) if vary_seeds else ga_config.rng_seed
+        run_seed = _derived_seed(seed, run_idx)
         cfg = replace(
             ga_config,
             population_size=pop,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analysis import cutoff_sweep, error_analysis, synth_generate
+from .analysis import DEFAULT_HYPER_RANGES, cutoff_sweep, error_analysis, synth_generate
 from .fitness import FitnessConfig
 from .ga import Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
 from .model import PathParams, evaluate_model
@@ -56,11 +56,11 @@ class RunConfig:
     truth: Chromosome | None = None
     snr: float | None = None
     synth_seed: int = 0
-    cutoff_percents: list | None = None
+    cutoff_percents: tuple[float, ...] = (10.0, 5.0, 2.0, 1.0, 0.67, 0.5, 0.3)
     cutoff_repeats: int = 3
     error_runs: int = 20
-    error_ranges: dict | None = None
-    benchmark_n_paths: list | None = None
+    error_ranges: dict | None = None  # None: analysis.DEFAULT_HYPER_RANGES
+    benchmark_n_paths: tuple[int, ...] = (5, 10, 20, 40, 80)
     benchmark_generations: int = 5
 
 
@@ -76,19 +76,35 @@ def _get(cp, section: str, key: str, cast=str, default=None, required=False):
         raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}") from None
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(x) for x in raw.replace(",", " ").split()]
+def _list(cast):
+    """Cast of a whitespace- or comma-separated list of values."""
+    return lambda raw: tuple(cast(x) for x in raw.replace(",", " ").split())
+
+
+def _range(cast):
+    """Cast of a 'low high' pair with low <= high."""
+    def parse(raw: str) -> tuple:
+        vals = _list(cast)(raw)
+        if len(vals) != 2 or vals[0] > vals[1]:
+            raise ValueError("needs 'low high' with low <= high")
+        return vals
+
+    return parse
 
 
 def _triple(raw: str) -> tuple[float, float, float]:
-    vals = _floats(raw)
+    vals = _list(float)(raw)
     if len(vals) != 3:
         raise ValueError("needs 'lower upper step'")
-    return tuple(vals)
+    return vals
 
 
 def _optional_int(raw: str) -> int | None:
     return int(raw) if raw else None
+
+
+def _snr(raw: str) -> float | None:
+    return None if raw in ("inf", "none") else float(raw)
 
 
 # (section, key, field, cast, default) of every setting that fills KGrid,
@@ -132,7 +148,7 @@ SETTINGS = (
 def parse_config(path: str) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         cp.read(path)
     except configparser.Error as exc:
@@ -166,52 +182,36 @@ def parse_config(path: str) -> RunConfig:
 
     if "synth_paths" in cp:
         cfg.synth_paths = []
-        for key, raw in cp["synth_paths"].items():
-            vals = _floats(raw)
+        for key in cp["synth_paths"]:
+            vals = _get(cp, "synth_paths", key, _list(float))
             if len(vals) not in (3, 4):
                 raise ConfigError(
                     f"[synth_paths] '{key}' needs 'r_eff degeneracy amp [lambda]'"
                 )
             cfg.synth_paths.append((key, *vals))
 
-    if "synth" in cp:
-        s = cp["synth"]
-        n_paths = len(cfg.synth_paths or []) or None
-        s02 = _floats(s.get("s02", ""))
-        sigma2 = _floats(s.get("sigma2", ""))
-        delta_r = _floats(s.get("delta_r", ""))
-        if not (len(s02) == len(sigma2) == len(delta_r)):
-            raise ConfigError("[synth] s02, sigma2, delta_r lists must match in length")
-        if n_paths is not None and s02 and len(s02) != n_paths:
-            raise ConfigError("[synth] parameter lists must match [synth_paths] count")
-        if s02:
-            cfg.truth = Chromosome(
-                delta_e0=float(s.get("delta_e0", 0.0)),
-                per_path=tuple(
-                    PathParams(s02=a, sigma2=b, delta_r=c)
-                    for a, b, c in zip(s02, sigma2, delta_r)
-                ),
-            )
-        snr_raw = s.get("snr", "inf")
-        cfg.snr = None if snr_raw in ("inf", "none") else float(snr_raw)
-        cfg.synth_seed = int(s.get("seed", 0))
-
-    if "cutoff" in cp:
-        c = cp["cutoff"]
-        cfg.cutoff_percents = _floats(c.get("percents", "10 5 2 1 0.67 0.5 0.3"))
-        cfg.cutoff_repeats = int(c.get("repeats", 3))
-    if "error" in cp:
-        e = cp["error"]
-        cfg.error_runs = int(e.get("n_runs", 20))
-        cfg.error_ranges = {
-            "population": tuple(int(x) for x in _floats(e.get("population", "100 5000"))),
-            "generations": tuple(int(x) for x in _floats(e.get("generations", "10 50"))),
-            "mutation_rate": tuple(_floats(e.get("mutation_rate", "0 100"))),
-        }
-    if "benchmark" in cp:
-        b = cp["benchmark"]
-        cfg.benchmark_n_paths = [int(x) for x in _floats(b.get("n_paths", "5 10 20 40 80"))]
-        cfg.benchmark_generations = int(b.get("generations", 5))
+    synth = [_get(cp, "synth", key, _list(float), ()) for key in ("s02", "sigma2", "delta_r")]
+    if len({len(v) for v in synth}) != 1:
+        raise ConfigError("[synth] s02, sigma2, delta_r lists must match in length")
+    if cfg.synth_paths and synth[0] and len(synth[0]) != len(cfg.synth_paths):
+        raise ConfigError("[synth] parameter lists must match [synth_paths] count")
+    if synth[0]:
+        cfg.truth = Chromosome(
+            delta_e0=_get(cp, "synth", "delta_e0", float, 0.0),
+            per_path=tuple(PathParams(a, b, c) for a, b, c in zip(*synth)),
+        )
+    cfg.snr = _get(cp, "synth", "snr", _snr, cfg.snr)
+    cfg.synth_seed = _get(cp, "synth", "seed", int, cfg.synth_seed)
+    cfg.cutoff_percents = _get(cp, "cutoff", "percents", _list(float), cfg.cutoff_percents)
+    cfg.cutoff_repeats = _get(cp, "cutoff", "repeats", int, cfg.cutoff_repeats)
+    cfg.error_runs = _get(cp, "error", "n_runs", int, cfg.error_runs)
+    cfg.benchmark_n_paths = _get(cp, "benchmark", "n_paths", _list(int), cfg.benchmark_n_paths)
+    cfg.benchmark_generations = _get(cp, "benchmark", "generations", int,
+                                     cfg.benchmark_generations)
+    cfg.error_ranges = {
+        name: _get(cp, "error", name, _range(cast), DEFAULT_HYPER_RANGES[name])
+        for name, cast in (("population", int), ("generations", int), ("mutation_rate", float))
+    }
     return cfg
 
 
@@ -344,7 +344,7 @@ def _run_cutoff_sweep(cfg: RunConfig, out: str) -> list[str]:
         paths,
         cfg.ga,
         cfg.fitness,
-        cfg.cutoff_percents or [10, 5, 2, 1, 0.67, 0.5, 0.3],
+        cfg.cutoff_percents,
         gene_specs=specs,
         n_repeat=cfg.cutoff_repeats,
         gene_spec_builder=lambda n: gene_specs(cfg, n),
@@ -413,9 +413,7 @@ def benchmark_scaling(
 
 
 def _run_benchmark(cfg: RunConfig, out: str) -> list[str]:
-    rows = benchmark_scaling(
-        cfg, cfg.benchmark_n_paths or [5, 10, 20, 40], cfg.benchmark_generations
-    )
+    rows = benchmark_scaling(cfg, cfg.benchmark_n_paths, cfg.benchmark_generations)
     return [_write_csv(out, "benchmark.csv", "n_paths,seconds_per_generation", rows)]
 
 

@@ -20,15 +20,15 @@ class FitnessConfig:
     """Objective configuration.
 
     space: "K", "R", or "K+R".  n_indep defaults to the number of compared
-    points (stepwise-collected data); epsilon is a scalar or per-point
-    uncertainty.  ft supplies the fit k-range, k-weight, and (for R-space)
-    the transform parameters.
+    points (stepwise-collected data); epsilon, a positive scalar, is the
+    uncertainty of every point.  ft supplies the fit k-range, k-weight, and
+    (for R-space) the transform parameters.
     """
 
     ft: FTConfig
     space: str = "K"
     n_indep: int | None = None
-    epsilon: float | np.ndarray = 1.0
+    epsilon: float = 1.0
     k_weight: int = 2
 
     def __post_init__(self):
@@ -36,8 +36,8 @@ class FitnessConfig:
             raise FitnessError(f"space must be K, R, or K+R, got {self.space!r}")
         if self.n_indep is not None and self.n_indep <= 0:
             raise FitnessError("n_indep must be positive")
-        if np.any(np.asarray(self.epsilon) <= 0):
-            raise FitnessError("epsilon must be positive everywhere")
+        if np.ndim(self.epsilon) != 0 or not self.epsilon > 0:
+            raise FitnessError(f"epsilon must be a positive scalar, got {self.epsilon!r}")
 
 
 def chi2(model: np.ndarray, data: np.ndarray, config: FitnessConfig) -> float:
@@ -56,7 +56,7 @@ def chi2(model: np.ndarray, data: np.ndarray, config: FitnessConfig) -> float:
     if n == 0:
         raise FitnessError("zero-length fit range")
     n_indep = n if config.n_indep is None else min(config.n_indep, n)
-    resid = (model - data) / np.asarray(config.epsilon, dtype=float)
+    resid = (model - data) / config.epsilon
     value = float(n_indep / n * np.sum(resid**2))
     if value == 0.0 and not np.array_equal(model, data):
         return float(np.finfo(float).smallest_subnormal)
@@ -91,7 +91,8 @@ def estimate_epsilon(spec: KSpectrum, tail_fraction: float = 0.15) -> float:
 
 
 class SpectrumObjective:
-    """Callable chi^2 objective comparing a chromosome's model to data.
+    """Chi^2 objective comparing the model of a gene vector
+    [delta_e0, (s02, sigma2, delta_r) per path] to data.
 
     Caches the data-side comparison vectors; evaluation excludes grid points
     invalidated by the energy shift (K-space) and transforms both spectra
@@ -110,10 +111,7 @@ class SpectrumObjective:
         if not np.any(self._k_mask):
             raise FitnessError("fit k_range contains no data samples")
         self._kw = k**config.k_weight
-        if config.space in ("R", "K+R"):
-            self._data_r = transform_k_to_r(data, config.ft).magnitude
-        else:
-            self._data_r = None
+        self._data_r = transform_k_to_r(data, config.ft).magnitude
 
     def evaluate_genes(self, genes: np.ndarray) -> float:
         chi, valid = self._evaluator.evaluate_genes(genes)
@@ -124,10 +122,29 @@ class SpectrumObjective:
                 self._kw[m] * chi[m], self._kw[m] * self.data.chi[m], self.config
             )
         if self.config.space in ("R", "K+R"):
-            spec = KSpectrum(grid=self.grid, chi=np.where(valid, chi, 0.0))
-            mag = transform_k_to_r(spec, self.config.ft).magnitude
-            total += chi2(mag, self._data_r, self.config)
+            total += chi2(self._r_magnitude(chi, valid), self._data_r, self.config)
         return total
 
-    def __call__(self, chromosome) -> float:
-        return self.evaluate_genes(chromosome.to_genes())
+    def _r_magnitude(self, chi: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        spec = KSpectrum(grid=self.grid, chi=np.where(valid, chi, 0.0))
+        return transform_k_to_r(spec, self.config.ft).magnitude
+
+    def report(self, genes) -> tuple[dict, dict]:
+        """(metrics_k, metrics_r) of a gene vector's model, its path rows summed
+        as evaluate_model sums them: k-weighted over the fit range (unweighted
+        under "unweighted"), and R-space magnitudes.  A comparison that is
+        undefined (constant data) is left out."""
+        terms, valid = self._evaluator.evaluate_paths(genes)
+        chi = terms.sum(axis=0)
+        m = self._k_mask & valid
+        metrics_k, metrics_r = {}, {}
+        try:
+            metrics_k = metrics(self._kw[m] * chi[m], self._kw[m] * self.data.chi[m])
+            metrics_k["unweighted"] = metrics(chi[m], self.data.chi[m])
+        except FitnessError:
+            pass
+        try:
+            metrics_r = metrics(self._r_magnitude(chi, valid), self._data_r)
+        except FitnessError:
+            pass
+        return metrics_k, metrics_r

@@ -1,9 +1,11 @@
 """Evolutionary engine: quantized genes, rank-elite selection with random
 injection, three crossover operators, three mutation operators, Rechenberg
-1/5 mutation-rate adaptation, and the main fitting loop.
+1/5 mutation-rate adaptation, and the generation loop.
 
-Fitness is minimized (chi^2); every "better" comparison is strict less-than.
-The whole run is a deterministic function of (data, paths, configs, seed).
+`evolve` sees only gene specs and an objective (gene vector -> fitness), so
+any problem with bounded, quantized parameters plugs in; `run_ga` is the
+EXAFS fit built on it.  Fitness is minimized; every "better" comparison is
+strict less-than.  A run is a deterministic function of its inputs and seed.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitness import FitnessConfig, FitnessError, SpectrumObjective, metrics
-from .model import PathParams, evaluate_model_masked
+from .fitness import FitnessConfig, SpectrumObjective
+from .model import PathParams
 from .paths import PathSet
-from .spectra import KSpectrum, transform_k_to_r
+from .spectra import KSpectrum
 
 
 class GAError(ValueError):
@@ -171,15 +173,6 @@ class GAConfig:
             raise GAError("patience and max_generations must be >= 1")
 
 
-@dataclass
-class GAState:
-    """Per-run mutable bookkeeping for the metropolis cooling schedule."""
-
-    generation: int
-    max_generation: int
-    delta_f: float = 0.0
-
-
 # One record per generation.  Generation 1 is the initial population: its
 # sigma is the initial mutation rate and its ratios and deltas are 0.  Later
 # rows hold the best fitness after mutation, sigma after the 1/5-rule update,
@@ -290,7 +283,7 @@ def mutate_metropolis(
     individual,
     sigma: float,
     f_orig: float,
-    state: GAState,
+    k_cool: float,
     rng: np.random.Generator,
     fitness_fn,
     codec: GeneCodec,
@@ -298,8 +291,8 @@ def mutate_metropolis(
     """Annealing-gated mutation of the path genes.
 
     Improving mutants are always kept; worse mutants are kept only when
-    exp(-(f_mut - f_orig)/K) < t with t uniform in [0,1) and K the cooling
-    rate.  K <= 0 or non-finite disables thermal acceptance.
+    exp(-(f_mut - f_orig)/K) < t with t uniform in [0,1) and K = k_cool, the
+    cooling rate.  K <= 0 or non-finite disables thermal acceptance.
     """
     individual = np.asarray(individual).copy()
     if rng.uniform(0.0, 100.0) >= sigma:
@@ -310,7 +303,6 @@ def mutate_metropolis(
     f_mut = fitness_fn(mutant)
     if f_mut < f_orig:
         return mutant, f_mut
-    k_cool = cooling_rate(state.delta_f, state.generation, state.max_generation)
     t = rng.random()
     if math.isfinite(k_cool) and k_cool > 0 and math.exp(-(f_mut - f_orig) / k_cool) < t:
         return mutant, f_mut
@@ -338,46 +330,37 @@ def _pick_two_parents(pool_size: int, rng: np.random.Generator) -> tuple[int, in
     return i, j
 
 
-def run_ga(
-    data: KSpectrum,
-    paths: PathSet,
-    ga_config: GAConfig,
-    fitness_config: FitnessConfig,
-    gene_specs=None,
-    objective_fn=None,
-) -> FitResult:
-    """Evolve chromosomes against the data until max_generations or stagnation.
+def evolve(
+    objective, gene_specs, ga_config: GAConfig
+) -> tuple[np.ndarray, float, np.ndarray, str]:
+    """Evolve gene vectors until max_generations or stagnation.
 
-    objective_fn (gene vector -> fitness) overrides the spectrum objective;
-    used for diagnostics and benchmarks.  A ValueError from the objective
+    objective maps one gene vector to its fitness (lower is better).  Returns
+    (best genes, best fitness, history, exit reason), history holding one
+    HISTORY_DTYPE record per generation.  A ValueError from the objective
     (every exafsga error is one) or a non-finite fitness raises GAError
     naming the generation and individual; other exceptions propagate.
     """
-    n_paths = len(paths)
-    if gene_specs is None:
-        gene_specs = default_gene_specs(n_paths)
     codec = GeneCodec(gene_specs)
-    if codec.n_genes != 3 * n_paths + 1:
-        raise GAError(
-            f"gene specs ({codec.n_genes}) do not match 3*{n_paths} + 1 genes"
-        )
-    objective = SpectrumObjective(data, paths, fitness_config)
-    fitness_fn = objective.evaluate_genes if objective_fn is None else objective_fn
 
-    def score(genes: np.ndarray, generation: int, individual: int) -> float:
-        try:
-            fitness = float(fitness_fn(genes))
-        except ValueError as exc:
-            raise GAError(
-                f"fitness evaluation failed at generation {generation}, "
-                f"individual {individual}: {exc}"
-            ) from exc
-        if not math.isfinite(fitness):
-            raise GAError(
-                f"fitness {fitness} at generation {generation}, "
-                f"individual {individual}, genes {genes.tolist()}"
-            )
-        return fitness
+    def score(rows, generation: int, index) -> np.ndarray:
+        """Fitness of each gene row; index holds the rows' population indices."""
+        fits = []
+        for individual, genes in zip(index, rows):
+            try:
+                fitness = float(objective(genes))
+            except ValueError as exc:
+                raise GAError(
+                    f"fitness evaluation failed at generation {generation}, "
+                    f"individual {individual}: {exc}"
+                ) from exc
+            if not math.isfinite(fitness):
+                raise GAError(
+                    f"fitness {fitness} at generation {generation}, "
+                    f"individual {individual}, genes {genes.tolist()}"
+                )
+            fits.append(fitness)
+        return np.array(fits)
 
     rng = np.random.default_rng(ga_config.rng_seed)
     pop_size = ga_config.population_size
@@ -385,7 +368,7 @@ def run_ga(
     crossover, mutation = ga_config.crossover_method, ga_config.mutation_method
 
     pop = codec.random(rng, pop_size)
-    fits = np.array([score(g, 1, i) for i, g in enumerate(pop)])
+    fits = score(pop, 1, range(pop_size))
 
     sigma = float(ga_config.initial_mutation_rate)
     history = [(1, float(fits.min()), sigma, 0.0, 0.0, 0.0, 0.0, 0.0)]
@@ -412,29 +395,28 @@ def run_ga(
         gen += 1
         pop = np.vstack([pop[elite], children, codec.random(rng, n_random)])
         fits = np.concatenate(
-            [fits[elite], [score(pop[i], gen, i) for i in range(n_elite, pop_size)]]
+            [fits[elite], score(pop[n_elite:], gen, range(n_elite, pop_size))]
         )
         prev_best = history[-1][1]
         best_after_cross = float(fits.min())
         mean_after_cross = float(fits.mean())
 
-        delta_f = abs(prev_best - history[-2][1]) if len(history) >= 2 else 0.0
-        state = GAState(
-            generation=gen - 1, max_generation=ga_config.max_generations, delta_f=delta_f
-        )
-        for idx in range(n_elite, pop_size):
-            if mutation == "metropolis":
+        if mutation == "metropolis":
+            # Each acceptance draw depends on the mutant's score: row by row.
+            delta_f = abs(prev_best - history[-2][1]) if len(history) >= 2 else 0.0
+            k_cool = cooling_rate(delta_f, gen - 1, ga_config.max_generations)
+            for idx in range(n_elite, pop_size):
                 pop[idx], fits[idx] = mutate_metropolis(
-                    pop[idx], sigma, fits[idx], state, rng,
-                    lambda g: score(g, gen, idx), codec,
+                    pop[idx], sigma, fits[idx], k_cool, rng,
+                    lambda g: score([g], gen, [idx])[0], codec,
                 )
-                continue
-            if mutation == "maximum":
-                mutant = mutate_maximum(pop[idx], sigma, codec, rng)
-            else:
-                mutant = mutate_nested(pop[idx], sigma, codec, rng)
-            if not np.array_equal(mutant, pop[idx]):
-                pop[idx], fits[idx] = mutant, score(mutant, gen, idx)
+        else:
+            # No draw depends on a score: draw all mutants, then score the changed.
+            mutate = mutate_maximum if mutation == "maximum" else mutate_nested
+            mutants = np.array([mutate(g, sigma, codec, rng) for g in pop[n_elite:]])
+            changed = n_elite + np.flatnonzero(np.any(mutants != pop[n_elite:], axis=1))
+            pop[changed] = mutants[changed - n_elite]
+            fits[changed] = score(pop[changed], gen, changed)
 
         best = float(fits.min())
         mean_after_mut = float(fits.mean())
@@ -454,34 +436,36 @@ def run_ga(
             break
 
     best_idx = int(np.argmin(fits))
-    best_genes = pop[best_idx]
-    best_chrom = Chromosome.from_genes(best_genes)
+    history = np.array(history, dtype=HISTORY_DTYPE)
+    return pop[best_idx], float(fits[best_idx]), history, exit_reason
 
-    metrics_k: dict = {}
-    metrics_r: dict = {}
-    if objective_fn is None:
-        chi, valid = evaluate_model_masked(paths, best_chrom, data.grid)
-        k = data.grid.ks
-        lo, hi = fitness_config.ft.k_range
-        m = (k >= lo) & (k <= hi) & valid
-        kw = k**fitness_config.k_weight
-        try:
-            metrics_k = metrics(kw[m] * chi[m], kw[m] * data.chi[m])
-            metrics_k["unweighted"] = metrics(chi[m], data.chi[m])
-        except FitnessError:
-            pass
-        try:
-            model_spec = KSpectrum(grid=data.grid, chi=np.where(valid, chi, 0.0))
-            mag_m = transform_k_to_r(model_spec, fitness_config.ft).magnitude
-            mag_d = transform_k_to_r(data, fitness_config.ft).magnitude
-            metrics_r = metrics(mag_m, mag_d)
-        except FitnessError:
-            pass
 
+def run_ga(
+    data: KSpectrum,
+    paths: PathSet,
+    ga_config: GAConfig,
+    fitness_config: FitnessConfig,
+    gene_specs=None,
+) -> FitResult:
+    """Fit the paths' parameters to the data: evolve the gene layout
+    [delta_e0, (s02, sigma2, delta_r) per path] against the spectrum
+    objective, and report the best chromosome's fit metrics."""
+    n_paths = len(paths)
+    if gene_specs is None:
+        gene_specs = default_gene_specs(n_paths)
+    if len(gene_specs) != 3 * n_paths + 1:
+        raise GAError(
+            f"gene specs ({len(gene_specs)}) do not match 3*{n_paths} + 1 genes"
+        )
+    objective = SpectrumObjective(data, paths, fitness_config)
+    genes, fitness, history, exit_reason = evolve(
+        objective.evaluate_genes, gene_specs, ga_config
+    )
+    metrics_k, metrics_r = objective.report(genes)
     return FitResult(
-        best=best_chrom,
-        best_fitness=float(fits[best_idx]),
-        history=np.array(history, dtype=HISTORY_DTYPE),
+        best=Chromosome.from_genes(genes),
+        best_fitness=fitness,
+        history=history,
         exit_reason=exit_reason,
         metrics_k=metrics_k,
         metrics_r=metrics_r,

@@ -23,6 +23,7 @@ from exafsga.ga import (
     crossover_and,
     crossover_or,
     default_gene_specs,
+    evolve,
     mutate_maximum,
     mutate_nested,
     rechenberg_update,
@@ -388,11 +389,10 @@ class TestPropertySuite:
             seen_ok.append(bool(codec.contains(genes)))
             return float(np.sum((genes - genes.mean()) ** 2))
 
-        run_ga(
-            data, paths,
+        evolve(
+            recording_objective, specs,
             GAConfig(population_size=40, max_generations=10, rng_seed=6,
                      patience=10, mutation_method="metropolis"),
-            FITNESS, specs, objective_fn=recording_objective,
         )
         checks["gene-bounds"] = bool(seen_ok) and all(seen_ok)
 

@@ -169,16 +169,6 @@ class TestErrorAnalysis:
         np.testing.assert_allclose(np.diag(report.covariance), report.stds ** 2,
                                    rtol=1e-10)
 
-    def test_fixed_seeds_and_hypers_are_degenerate(self):
-        paths, truth, data, fitness, ga = small_problem()
-        report = error_analysis(
-            data, paths, ga, fitness, n_runs=3,
-            ranges={"population": (30, 30), "generations": (6, 6),
-                    "mutation_rate": (20.0, 20.0)},
-            seed=7, vary_seeds=False,
-        )
-        assert np.all(report.stds < 1e-15)
-
     def test_determinism(self):
         paths, truth, data, fitness, ga = small_problem()
         kwargs = dict(

@@ -1,4 +1,5 @@
 import os
+import re
 import textwrap
 
 import numpy as np
@@ -112,9 +113,20 @@ class TestParseConfig:
             parse_config(cfg)
 
     def test_bad_value_names_section_and_key(self, tmp_path):
-        cfg = write_config(tmp_path, "[run]\nmode = fit\n\n[ga]\npatience = soon\n")
-        with pytest.raises(ConfigError, match=r"\[ga\] key 'patience': cannot parse 'soon'"):
-            parse_config(cfg)
+        for section, key, value in [
+            ("ga", "patience", "soon"),
+            ("ga", "population_size", "50%"),
+            ("cutoff", "repeats", "few"),
+            ("error", "population", "100"),
+            ("error", "population", "50 20"),
+            ("error", "population", "20.9 30"),
+            ("synth", "snr", "loud"),
+            ("benchmark", "n_paths", "5 ten"),
+        ]:
+            text = f"[run]\nmode = fit\n\n[{section}]\n{key} = {value}\n"
+            message = rf"\[{section}\] key '{key}': cannot parse '{re.escape(value)}'"
+            with pytest.raises(ConfigError, match=message):
+                parse_config(write_config(tmp_path, text))
 
     def test_synth_lists_length_mismatch(self, tmp_path):
         cfg = write_config(
@@ -252,6 +264,11 @@ class TestMainErrors:
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "[run]\nmode = wiggle\n")
         assert main(["fit", "--config", cfg]) == 2
+
+    def test_percent_in_value_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[run]\nmode = fit\n\n[ga]\npopulation_size = 50%\n")
+        assert main(["fit", "--config", cfg]) == 2
+        assert "[ga] key 'population_size'" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self):
         assert main(["fit", "--config", "/nonexistent.ini"]) == 2

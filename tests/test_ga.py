@@ -6,7 +6,6 @@ from exafsga.ga import (
     Chromosome,
     GAConfig,
     GAError,
-    GAState,
     GeneCodec,
     GeneSpec,
     cooling_rate,
@@ -14,6 +13,7 @@ from exafsga.ga import (
     crossover_or,
     crossover_uniform,
     default_gene_specs,
+    evolve,
     mutate_maximum,
     mutate_metropolis,
     mutate_nested,
@@ -235,13 +235,13 @@ class TestCoolingRate:
 class TestMutateMetropolis:
     def setup_method(self):
         self.codec = GeneCodec(default_gene_specs(2))
-        self.state = GAState(generation=50, max_generation=100, delta_f=1.0)
+        self.k_cool = cooling_rate(1.0, 50, 100)
 
     def test_improving_always_accepted(self):
         rng = np.random.default_rng(0)
         ind = self.codec.random(rng)
         out, f = mutate_metropolis(
-            ind, 100.0, 10.0, self.state, rng, lambda g: 1.0, self.codec
+            ind, 100.0, 10.0, self.k_cool, rng, lambda g: 1.0, self.codec
         )
         assert f == 1.0
         assert not np.array_equal(out, ind)
@@ -252,7 +252,7 @@ class TestMutateMetropolis:
         ind = self.codec.random(rng)
         for _ in range(100):
             out, f = mutate_metropolis(
-                ind, 100.0, 5.0, self.state, rng, lambda g: 5.0, self.codec
+                ind, 100.0, 5.0, self.k_cool, rng, lambda g: 5.0, self.codec
             )
             assert f == 5.0
             assert np.array_equal(out, ind)
@@ -261,7 +261,7 @@ class TestMutateMetropolis:
         rng = np.random.default_rng(2)
         ind = self.codec.random(rng)
         out, f = mutate_metropolis(
-            ind, 0.0, 5.0, self.state, rng, lambda g: 0.0, self.codec
+            ind, 0.0, 5.0, self.k_cool, rng, lambda g: 0.0, self.codec
         )
         assert np.array_equal(out, ind)
         assert f == 5.0
@@ -269,10 +269,10 @@ class TestMutateMetropolis:
     def test_worse_rejected_when_cooling_invalid(self):
         rng = np.random.default_rng(3)
         ind = self.codec.random(rng)
-        state = GAState(generation=0, max_generation=100, delta_f=1.0)
+        k_cool = cooling_rate(1.0, 0, 100)
         for _ in range(50):
             out, f = mutate_metropolis(
-                ind, 100.0, 5.0, state, rng, lambda g: 50.0, self.codec
+                ind, 100.0, 5.0, k_cool, rng, lambda g: 50.0, self.codec
             )
             assert np.array_equal(out, ind)
             assert f == 5.0
@@ -283,13 +283,13 @@ class TestMutateMetropolis:
         k_target = -df / np.log(0.7)
         i, i_max = 50, 100
         delta_f = k_target * -np.log(1 - i / i_max)
-        state = GAState(generation=i, max_generation=i_max, delta_f=delta_f)
+        k_cool = cooling_rate(delta_f, i, i_max)
         rng = np.random.default_rng(4)
         ind = self.codec.random(rng)
         n, accepted = 4000, 0
         for _ in range(n):
             out, f = mutate_metropolis(
-                ind, 100.0, 5.0, state, rng, lambda g: 5.0 + df, self.codec
+                ind, 100.0, 5.0, k_cool, rng, lambda g: 5.0 + df, self.codec
             )
             accepted += f != 5.0
         assert abs(accepted / n - 0.3) < 0.03
@@ -299,7 +299,7 @@ class TestMutateMetropolis:
         ind = self.codec.random(rng)
         for _ in range(50):
             out, _ = mutate_metropolis(
-                ind, 100.0, 10.0, self.state, rng, lambda g: 1.0, self.codec
+                ind, 100.0, 10.0, self.k_cool, rng, lambda g: 1.0, self.codec
             )
             assert out[0] == ind[0]
 
@@ -361,16 +361,12 @@ class TestRunGA:
         assert result.best_fitness < 1e-6
 
     def test_stagnation_exit(self):
-        fx = FitFixture(n_paths=1)
         cfg = GAConfig(
             population_size=20, max_generations=100, patience=5, rng_seed=0
         )
-        result = run_ga(
-            fx.data, fx.paths, cfg, fx.fitness,
-            default_gene_specs(1), objective_fn=lambda genes: 1.0,
-        )
-        assert result.exit_reason == "stagnation"
-        assert result.n_generations == 6
+        _, _, history, exit_reason = evolve(lambda genes: 1.0, default_gene_specs(1), cfg)
+        assert exit_reason == "stagnation"
+        assert len(history) == 6
 
     def test_determinism(self):
         fx = FitFixture(snr=20)
@@ -450,20 +446,18 @@ class TestRunGA:
     def test_mutation_stage_error_has_context(self):
         # pop 20 = 4 elites + 12 children + 4 randoms: 20 initial calls and 16
         # at generation 2, so call 37 scores the first mutant (row 4) there.
-        fx = FitFixture(n_paths=1)
         cfg = GAConfig(population_size=20, max_generations=5, initial_mutation_rate=100.0,
                        mutation_rate_bounds=(1.0, 100.0), rng_seed=0)
         objective = self.failing_objective(37, ModelError("out of range"))
         with pytest.raises(GAError, match="generation 2, individual 4: out of range"):
-            run_ga(fx.data, fx.paths, cfg, fx.fitness, default_gene_specs(1), objective)
+            evolve(objective, default_gene_specs(1), cfg)
 
     @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
     def test_non_finite_fitness_raises(self, value):
-        fx = FitFixture(n_paths=1)
         cfg = GAConfig(population_size=20, max_generations=5, rng_seed=0)
         objective = self.failing_objective(30, value)
         with pytest.raises(GAError, match=r"generation 2, individual 13, genes \["):
-            run_ga(fx.data, fx.paths, cfg, fx.fitness, default_gene_specs(1), objective)
+            evolve(objective, default_gene_specs(1), cfg)
 
     def test_attribution_telescopes(self):
         fx = FitFixture(snr=20)
