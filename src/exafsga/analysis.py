@@ -20,7 +20,11 @@ class AnalysisError(ValueError):
 
 @dataclass(frozen=True)
 class CutoffReport:
-    """Per-path spectral-area fractions and the paths surviving the cutoff."""
+    """Per-path spectral-area fractions and the paths surviving the cutoff.
+
+    best_before is the chromosome the fractions come from and chi2_before its
+    fitness; best_after and chi2_after are the refit's best on the pruned set.
+    """
 
     labels: tuple[str, ...]
     fractions: np.ndarray
@@ -29,6 +33,8 @@ class CutoffReport:
     pruned: PathSet
     chi2_before: float | None = None
     chi2_after: float | None = None
+    best_before: Chromosome | None = None
+    best_after: Chromosome | None = None
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,7 @@ def cutoff_select(
         selected=selected,
         pruned=paths.subset(selected),
         chi2_before=chi2_before,
+        best_before=chromosome,
     )
 
 
@@ -132,8 +139,9 @@ def cutoff_sweep(
     """Fit, prune at each cutoff, refit on the pruned set; report mean chi^2.
 
     Returns a list of dicts with keys percent, mean_chi2, n_paths_kept, and
-    the per-repeat CutoffReports.  gene_spec_builder(n_paths) customizes the
-    gene specs of the second-round fits (defaults to default_gene_specs).
+    the per-repeat CutoffReports, which carry both fits' best chromosomes.
+    gene_spec_builder(n_paths) customizes the gene specs of the second-round
+    fits (defaults to default_gene_specs).
     """
     percents = list(percents)
     if not percents:
@@ -167,7 +175,9 @@ def cutoff_sweep(
                 fitness_config,
                 gene_spec_builder(len(report.pruned)),
             )
-            reports.append(replace(report, chi2_after=second.best_fitness))
+            reports.append(
+                replace(report, chi2_after=second.best_fitness, best_after=second.best)
+            )
             chi2s.append(second.best_fitness)
         rows.append(
             {
@@ -185,6 +195,8 @@ DEFAULT_HYPER_RANGES = {
     "generations": (10, 50),
     "mutation_rate": (0.0, 100.0),
 }
+# The least population and generation count a GAConfig accepts.
+MIN_HYPER = {"population": 2, "generations": 1}
 
 
 def error_analysis(
@@ -209,6 +221,9 @@ def error_analysis(
     if n_runs < 2:
         raise AnalysisError("n_runs must be at least 2")
     ranges = {**DEFAULT_HYPER_RANGES, **(ranges or {})}
+    for name, minimum in MIN_HYPER.items():
+        if ranges[name][0] < minimum:
+            raise AnalysisError(f"{name} range {ranges[name]} starts below {minimum}")
     if gene_specs is None:
         gene_specs = default_gene_specs(len(paths))
     names = tuple(s.name for s in gene_specs)

@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_HYPER_RANGES, cutoff_sweep, error_analysis, synth_generate
+from .analysis import (
+    DEFAULT_HYPER_RANGES, MIN_HYPER, cutoff_sweep, error_analysis, synth_generate,
+)
 from .fitness import FitnessConfig
 from .ga import Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
 from .model import PathParams, evaluate_model
@@ -81,12 +83,14 @@ def _list(cast):
     return lambda raw: tuple(cast(x) for x in raw.replace(",", " ").split())
 
 
-def _range(cast):
-    """Cast of a 'low high' pair with low <= high."""
+def _range(cast, minimum=None):
+    """Cast of a 'low high' pair with minimum <= low <= high."""
     def parse(raw: str) -> tuple:
         vals = _list(cast)(raw)
         if len(vals) != 2 or vals[0] > vals[1]:
             raise ValueError("needs 'low high' with low <= high")
+        if minimum is not None and vals[0] < minimum:
+            raise ValueError(f"low must be at least {minimum}")
         return vals
 
     return parse
@@ -209,7 +213,8 @@ def parse_config(path: str) -> RunConfig:
     cfg.benchmark_generations = _get(cp, "benchmark", "generations", int,
                                      cfg.benchmark_generations)
     cfg.error_ranges = {
-        name: _get(cp, "error", name, _range(cast), DEFAULT_HYPER_RANGES[name])
+        name: _get(cp, "error", name, _range(cast, MIN_HYPER.get(name)),
+                   DEFAULT_HYPER_RANGES[name])
         for name, cast in (("population", int), ("generations", int), ("mutation_rate", float))
     }
     return cfg

@@ -111,6 +111,7 @@ class SpectrumObjective:
         if not np.any(self._k_mask):
             raise FitnessError("fit k_range contains no data samples")
         self._kw = k**config.k_weight
+        self._kw_data = self._kw * data.chi
         self._data_r = transform_k_to_r(data, config.ft).magnitude
 
     def evaluate_genes(self, genes: np.ndarray) -> float:
@@ -118,9 +119,7 @@ class SpectrumObjective:
         total = 0.0
         if self.config.space in ("K", "K+R"):
             m = self._k_mask & valid
-            total += chi2(
-                self._kw[m] * chi[m], self._kw[m] * self.data.chi[m], self.config
-            )
+            total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
         if self.config.space in ("R", "K+R"):
             total += chi2(self._r_magnitude(chi, valid), self._data_r, self.config)
         return total
@@ -139,7 +138,7 @@ class SpectrumObjective:
         m = self._k_mask & valid
         metrics_k, metrics_r = {}, {}
         try:
-            metrics_k = metrics(self._kw[m] * chi[m], self._kw[m] * self.data.chi[m])
+            metrics_k = metrics(self._kw[m] * chi[m], self._kw_data[m])
             metrics_k["unweighted"] = metrics(chi[m], self.data.chi[m])
         except FitnessError:
             pass

@@ -335,30 +335,37 @@ def evolve(
 ) -> tuple[np.ndarray, float, np.ndarray, str]:
     """Evolve gene vectors until max_generations or stagnation.
 
-    objective maps one gene vector to its fitness (lower is better).  Returns
-    (best genes, best fitness, history, exit reason), history holding one
-    HISTORY_DTYPE record per generation.  A ValueError from the objective
-    (every exafsga error is one) or a non-finite fitness raises GAError
-    naming the generation and individual; other exceptions propagate.
+    objective maps one gene vector to its fitness (lower is better) and must
+    be a pure function of the gene vector: within a generation, a vector
+    equal to one already in the population or already scored is not scored
+    again.  Returns (best genes, best fitness, history, exit reason), history
+    holding one HISTORY_DTYPE record per generation.  A ValueError from the
+    objective (every exafsga error is one) or a non-finite fitness raises
+    GAError naming the generation and individual; other exceptions propagate.
     """
     codec = GeneCodec(gene_specs)
+    memo: dict[bytes, float] = {}  # this generation's scored gene vectors
 
     def score(rows, generation: int, index) -> np.ndarray:
         """Fitness of each gene row; index holds the rows' population indices."""
         fits = []
         for individual, genes in zip(index, rows):
-            try:
-                fitness = float(objective(genes))
-            except ValueError as exc:
-                raise GAError(
-                    f"fitness evaluation failed at generation {generation}, "
-                    f"individual {individual}: {exc}"
-                ) from exc
-            if not math.isfinite(fitness):
-                raise GAError(
-                    f"fitness {fitness} at generation {generation}, "
-                    f"individual {individual}, genes {genes.tolist()}"
-                )
+            key = genes.tobytes()
+            fitness = memo.get(key)
+            if fitness is None:
+                try:
+                    fitness = float(objective(genes))
+                except ValueError as exc:
+                    raise GAError(
+                        f"fitness evaluation failed at generation {generation}, "
+                        f"individual {individual}: {exc}"
+                    ) from exc
+                if not math.isfinite(fitness):
+                    raise GAError(
+                        f"fitness {fitness} at generation {generation}, "
+                        f"individual {individual}, genes {genes.tolist()}"
+                    )
+                memo[key] = fitness
             fits.append(fitness)
         return np.array(fits)
 
@@ -392,6 +399,8 @@ def evolve(
             else:
                 children[c] = crossover_or(pa, pb, codec)
 
+        memo.clear()
+        memo.update(zip(map(np.ndarray.tobytes, pop), fits.tolist()))
         gen += 1
         pop = np.vstack([pop[elite], children, codec.random(rng, n_random)])
         fits = np.concatenate(

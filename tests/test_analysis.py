@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exafsga import analysis
 from exafsga.analysis import (
     DEFAULT_HYPER_RANGES,
     AnalysisError,
@@ -209,6 +210,17 @@ class TestErrorAnalysis:
             error_analysis(data, paths, ga, fitness, n_runs=2,
                            ranges={"population": (20, 20)}, seed=0)
 
+    @pytest.mark.parametrize("name, low_high", [("population", (0, 1)), ("generations", (0, 3))])
+    def test_range_below_minimum_raises_before_any_member(self, monkeypatch, name, low_high):
+        paths, truth, data, fitness, ga = small_problem()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        with pytest.raises(AnalysisError, match=name):
+            error_analysis(data, paths, ga, fitness, n_runs=2, ranges={name: low_high})
+
     def test_default_ranges_exposed(self):
         assert DEFAULT_HYPER_RANGES["population"] == (100, 5000)
         assert DEFAULT_HYPER_RANGES["generations"] == (10, 50)
@@ -231,6 +243,18 @@ class TestCutoffSweep:
         for row in rows:
             assert np.isfinite(row["mean_chi2"])
             assert len(row["reports"]) == 2
+
+    def test_reports_carry_best_chromosomes(self):
+        paths = make_paths([1.0, 0.8, 0.002])
+        data = synth_generate(paths, flat_chromosome(3, delta_e0=-0.5), GRID, snr=20.0, seed=0)
+        fitness = FitnessConfig(ft=FTConfig(k_range=FIT_RANGE))
+        ga = GAConfig(population_size=20, max_generations=4, rng_seed=3, patience=4)
+        rows = cutoff_sweep(data, paths, ga, fitness, percents=(5.0,), n_repeat=2)
+        for report in rows[0]["reports"]:
+            before = SpectrumObjective(data, paths, fitness)
+            after = SpectrumObjective(data, report.pruned, fitness)
+            assert before.evaluate_genes(report.best_before.to_genes()) == report.chi2_before
+            assert after.evaluate_genes(report.best_after.to_genes()) == report.chi2_after
 
 
 class TestAttribution:

@@ -120,6 +120,8 @@ class TestParseConfig:
             ("error", "population", "100"),
             ("error", "population", "50 20"),
             ("error", "population", "20.9 30"),
+            ("error", "population", "0 1"),
+            ("error", "generations", "0 3"),
             ("synth", "snr", "loud"),
             ("benchmark", "n_paths", "5 ten"),
         ]:

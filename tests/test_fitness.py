@@ -12,10 +12,11 @@ from exafsga.fitness import (
     estimate_epsilon,
     metrics,
 )
-from exafsga.ga import Chromosome
-from exafsga.model import PathParams
+from exafsga.ga import Chromosome, GeneCodec, default_gene_specs
+from exafsga.model import ModelEvaluator, PathParams
 from exafsga.paths import PathSet, synth_path
 from exafsga.spectra import FTConfig, KGrid, KSpectrum
+from test_spectra import direct_transform
 
 
 @pytest.fixture
@@ -141,3 +142,24 @@ class TestSpectrumObjective:
             (PathParams(0.2, 0.003, 0.02), truth.per_path[1]),
         )
         assert obj.evaluate_genes(other.to_genes()) > 0.0
+
+    @pytest.mark.parametrize("space", ["R", "K+R"])
+    def test_r_space_matches_direct_transform(self, space):
+        # The objective against chi^2 summed by hand, with both magnitudes
+        # from the O(N^2) direct sum instead of the library's transform.
+        obj, truth = self.make(space)
+        rng = np.random.default_rng(11)
+        data = KSpectrum(obj.grid, obj.data.chi + rng.normal(0.0, 0.01, obj.grid.n_points))
+        obj = SpectrumObjective(data, obj.paths, obj.config)
+        ft = obj.config.ft
+        data_r = np.abs(direct_transform(data, ft)[1])
+        k = obj.grid.ks
+        codec = GeneCodec(default_gene_specs(2, e0_bounds=(-3.0, 3.0, 0.01)))
+        for genes in codec.random(rng, 4):
+            chi, valid = ModelEvaluator(obj.paths, obj.grid).evaluate_genes(genes)
+            model = KSpectrum(obj.grid, np.where(valid, chi, 0.0))
+            expected = np.sum((np.abs(direct_transform(model, ft)[1]) - data_r) ** 2)
+            if space == "K+R":
+                m = (k >= ft.k_range[0]) & (k <= ft.k_range[1]) & valid
+                expected += np.sum((k[m] ** 2 * (chi[m] - data.chi[m])) ** 2)
+            assert obj.evaluate_genes(genes) == pytest.approx(expected, rel=1e-12)

@@ -459,6 +459,26 @@ class TestRunGA:
         with pytest.raises(GAError, match=r"generation 2, individual 13, genes \["):
             evolve(objective, default_gene_specs(1), cfg)
 
+    def test_no_vector_scored_twice_in_a_generation(self):
+        # Four distinct gene vectors in a population of 40: without a
+        # per-generation memo the first generation alone scores each about
+        # ten times.
+        specs = [GeneSpec("g", 0.0, 1.0, 1.0), GeneSpec("h", 0.0, 1.0, 1.0)]
+        calls = []
+
+        def objective(genes):
+            calls.append(tuple(genes))
+            return float(genes[0] + 2.0 * genes[1] + 0.5)
+
+        cfg = GAConfig(population_size=40, max_generations=6, patience=6,
+                       mutation_method="nested", rng_seed=3)
+        genes, fitness, history, _ = evolve(objective, specs, cfg)
+        scored = list(calls)
+        assert max(scored.count(c) for c in set(scored)) <= len(history)
+        assert len(scored) <= 4 * len(history)
+        assert fitness == objective(genes) == history["best_fitness"][-1]
+        assert set(history["best_fitness"]) <= {objective(np.array(c)) for c in scored}
+
     def test_attribution_telescopes(self):
         fx = FitFixture(snr=20)
         cfg = GAConfig(population_size=40, max_generations=15, rng_seed=6, patience=15)

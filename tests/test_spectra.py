@@ -135,6 +135,14 @@ class TestTransform:
         scale = np.max(np.abs(chi_ref))
         assert np.max(np.abs(out.chi_r - chi_ref)) <= 1e-10 * scale
 
+    def test_invalid_sampling_raises(self):
+        grid = KGrid(k_min=0.0, k_max=12.0, delta_k=0.5)
+        spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
+        with pytest.raises(TransformConfigError, match="no grid samples"):
+            transform_k_to_r(spec, FTConfig(k_range=(2.1, 2.4), window_sill=0.1))
+        with pytest.raises(TransformConfigError, match="smaller than 17 in-range samples"):
+            transform_k_to_r(spec, FTConfig(k_range=(2.0, 10.0), n_fft=16))
+
     def test_linearity(self, grid):
         rng = np.random.default_rng(3)
         cfg = FTConfig(k_range=(2.0, 12.0), n_fft=512)
