@@ -8,7 +8,7 @@ import numpy as np
 
 from .model import ModelEvaluator
 from .paths import PathSet
-from .spectra import FTConfig, KSpectrum, transform_k_to_r
+from .spectra import FTConfig, KSpectrum, transform_k_to_r, transform_support
 
 
 class FitnessError(ValueError):
@@ -97,6 +97,12 @@ class SpectrumObjective:
     Caches the data-side comparison vectors; evaluation excludes grid points
     invalidated by the energy shift (K-space) and transforms both spectra
     before comparing magnitudes over r_range (R-space).
+
+    The model is evaluated only at the points these comparisons read: the
+    fit k_range and the support of the k->r transform (transform_support),
+    in every space, since report() reads both.  That is exact: K-space chi^2
+    reads the same elements in the same order, and the model points left
+    out meet only exact zeros of the transform matrix.
     """
 
     def __init__(self, data: KSpectrum, paths: PathSet, config: FitnessConfig):
@@ -104,7 +110,6 @@ class SpectrumObjective:
         self.paths = paths
         self.config = config
         self.grid = data.grid
-        self._evaluator = ModelEvaluator(paths, data.grid)
         k = self.grid.ks
         lo, hi = config.ft.k_range
         self._k_mask = (k >= lo) & (k <= hi)
@@ -113,6 +118,8 @@ class SpectrumObjective:
         self._kw = k**config.k_weight
         self._kw_data = self._kw * data.chi
         self._data_r = transform_k_to_r(data, config.ft).magnitude
+        points = self._k_mask | transform_support(self.grid, config.ft)
+        self._evaluator = ModelEvaluator(paths, self.grid, points=points)
 
     def evaluate_genes(self, genes: np.ndarray) -> float:
         chi, valid = self._evaluator.evaluate_genes(genes)

@@ -83,17 +83,57 @@ class ModelEvaluator:
 
     Interpolation tables depend only on delta_e0, which is quantized in the
     genetic search, so they are cached per value; the remaining arithmetic
-    is vectorized across paths.
+    is vectorized across paths.  Paths whose k_theory arrays are byte-equal
+    share one theory grid: their f_eff, phase_scatter, phase_central and lam
+    rows are stacked, with the slopes of each interval, so a table costs one
+    searchsorted and one gather per theory grid.  The gather computes
+    slope[j]*(k' - kt[j]) + fp[j], the formula np.interp uses, so the tables
+    equal np.interp's bit for bit.
+
+    points, a boolean mask over the grid (default: every point), names the
+    points that are evaluated; the model is 0 at the others.  A caller that
+    reads only some points of the model passes them here.  The energy shift
+    and the theory-range check still cover the whole grid, so the validity
+    mask and every ModelError do not depend on points.
     """
 
-    def __init__(self, paths: PathSet, grid: KGrid, cache_size: int = 4096):
+    def __init__(
+        self, paths: PathSet, grid: KGrid, cache_size: int = 4096, points=None
+    ):
         from collections import OrderedDict
 
         self.paths = paths
         self.grid = grid
         self.n_paths = len(paths)
+        if points is None:
+            points = np.ones(grid.n_points, dtype=bool)
+        self.points = np.asarray(points, dtype=bool)
+        if self.points.shape != (grid.n_points,):
+            raise ModelError(
+                f"points has shape {self.points.shape}, grid has {grid.n_points} points"
+            )
         self.deg = np.array([p.degeneracy for p in paths])
         self.r_eff = np.array([p.r_eff for p in paths])
+        self._kt_lo = np.array([p.k_theory[0] for p in paths])
+        self._kt_hi = np.array([p.k_theory[-1] for p in paths])
+        by_grid: dict[bytes, list[int]] = {}
+        for i, p in enumerate(paths):
+            by_grid.setdefault(p.k_theory.tobytes(), []).append(i)
+        # Per theory grid: (path indices, kt, fp, slope), fp and slope of
+        # shape (4, n_group_paths, len(kt)) over (f_eff, phase_scatter,
+        # phase_central, lam); slope[..., -1] is 0.
+        self._groups = []
+        for idx in by_grid.values():
+            kt = paths.paths[idx[0]].k_theory
+            fp = np.array(
+                [
+                    [getattr(paths.paths[i], name) for i in idx]
+                    for name in ("f_eff", "phase_scatter", "phase_central", "lam")
+                ]
+            )
+            slope = np.zeros_like(fp)
+            slope[..., :-1] = np.diff(fp, axis=-1) / np.diff(kt)
+            self._groups.append((idx, kt, fp, slope))
         self._cache: "OrderedDict" = OrderedDict()
         self._cache_size = cache_size
 
@@ -104,37 +144,59 @@ class ModelEvaluator:
             self._cache.move_to_end(key)
             return hit
         kp, valid = shift_k(self.grid, delta_e0)
-        kv = kp[valid]
-        n = kv.size
-        f = np.empty((self.n_paths, n))
-        phase = np.empty((self.n_paths, n))
-        lam = np.empty((self.n_paths, n))
-        if n:
-            for i, p in enumerate(self.paths):
-                kt = p.k_theory
-                if kv.min() < kt[0] - 1e-9 or kv.max() > kt[-1] + 1e-9:
-                    raise ModelError(
-                        f"path {p.label}: shifted k in [{kv.min():.3f}, {kv.max():.3f}]"
-                        f" outside theory range [{kt[0]:.3f}, {kt[-1]:.3f}]"
-                    )
-                f[i] = np.interp(kv, kt, p.f_eff)
-                phase[i] = np.interp(kv, kt, p.phase_scatter) + np.interp(
-                    kv, kt, p.phase_central
+        if valid.any():
+            lo, hi = kp[valid].min(), kp[valid].max()
+            bad = (lo < self._kt_lo - 1e-9) | (hi > self._kt_hi + 1e-9)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ModelError(
+                    f"path {self.paths.paths[i].label}: shifted k in [{lo:.3f}, {hi:.3f}]"
+                    f" outside theory range [{self._kt_lo[i]:.3f}, {self._kt_hi[i]:.3f}]"
                 )
-                lam[i] = np.interp(kv, kt, p.lam)
+        used = valid & self.points
+        kv = kp[used]
+        # (f_eff, phase_scatter, phase_central, lam) at kv, one row per path.
+        # With one theory grid the gather's output is already in path order;
+        # scattering it into a new array would double the table's build time.
+        if len(self._groups) == 1:
+            interp = self._gather(*self._groups[0][1:], kv)
+        else:
+            interp = np.empty((4, self.n_paths, kv.size))
+            for idx, kt, fp, slope in self._groups:
+                interp[:, idx] = self._gather(kt, fp, slope, kv)
+        f, phase_scatter, phase_central, lam = interp
         # The per-row kernel's constants: deg*F/k, -2/lambda and -2k^2.
-        entry = (valid, kv, self.deg[:, None] * f / kv, phase, -2.0 / lam, -2.0 * kv**2)
+        entry = (
+            valid,
+            used,
+            kv,
+            self.deg[:, None] * f / kv,
+            phase_scatter + phase_central,
+            -2.0 / lam,
+            -2.0 * kv**2,
+        )
         self._cache[key] = entry
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
         return entry
 
-    def _terms(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-path summands at the valid points, shape (n_paths, n_valid),
-        and the validity mask."""
-        valid, kv, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
+    @staticmethod
+    def _gather(kt, fp, slope, x):
+        """np.interp(x, kt, fp) along the last axis of fp, with x within 1e-9
+        of [kt[0], kt[-1]] clamped to the end values as np.interp does."""
+        x = np.clip(x, kt[0], kt[-1])
+        j = np.searchsorted(kt, x, side="right") - 1
+        out = np.take(slope, j, axis=-1)
+        out *= x - kt[j]
+        out += np.take(fp, j, axis=-1)
+        return out
+
+    def _terms(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-path summands at the evaluated points, shape (n_paths, n_used),
+        the validity mask and the mask of evaluated points (valid & points)."""
+        valid, used, kv, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
         if kv.size == 0:
-            return np.empty((self.n_paths, 0)), valid
+            return np.empty((self.n_paths, 0)), valid, used
         s02 = genes[1::3]
         sigma2 = genes[2::3]
         r = self.r_eff + genes[3::3]
@@ -153,23 +215,24 @@ class ModelEvaluator:
         terms *= np.sin(osc, out=osc)
         terms *= deg_f_k
         terms *= (s02 / r**2)[:, None]
-        return terms, valid
+        return terms, valid, used
 
     def evaluate_genes(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """chi(k) and validity mask from a flat gene vector
-        [delta_e0, (s02, sigma2, delta_r) per path]."""
-        terms, valid = self._terms(np.asarray(genes, dtype=float))
+        [delta_e0, (s02, sigma2, delta_r) per path]; chi is 0 at invalid
+        points and outside points."""
+        terms, valid, used = self._terms(np.asarray(genes, dtype=float))
         out = np.zeros(self.grid.n_points)
-        out[valid] = terms.sum(axis=0)
+        out[used] = terms.sum(axis=0)
         return out, valid
 
     def evaluate_paths(self, genes) -> tuple[np.ndarray, np.ndarray]:
-        """Unsummed model: one chi(k) row per path (0 at invalid points),
-        and the validity mask."""
+        """Unsummed model: one chi(k) row per path (0 at invalid points and
+        outside points), and the validity mask."""
         genes = np.asarray(genes, dtype=float)
         if genes.size != 1 + 3 * self.n_paths:
             raise ModelError(f"{genes.size} genes for {self.n_paths} paths")
-        terms, valid = self._terms(genes)
+        terms, valid, used = self._terms(genes)
         out = np.zeros((self.n_paths, self.grid.n_points))
-        out[:, valid] = terms
+        out[:, used] = terms
         return out, valid

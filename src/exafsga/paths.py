@@ -45,9 +45,14 @@ class ScatteringPath:
         }
         if self.real_p is not None:
             arrays["real_p"] = self.real_p
+        for name in ("degeneracy", "r_eff"):
+            if not np.isfinite(getattr(self, name)):
+                raise PathParseError(f"path {self.label}: {name} is not finite")
         n = None
         for name, arr in arrays.items():
             arr = np.asarray(arr, dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise PathParseError(f"path {self.label}: {name} has non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
             if n is None:

@@ -208,6 +208,15 @@ def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
     return RSpectrum(r=r, chi_r=matrix @ spec.chi)
 
 
+def transform_support(grid: KGrid, config: FTConfig) -> np.ndarray:
+    """Boolean mask of the grid points transform_k_to_r reads: the columns of
+    its matrix holding a nonzero entry.  chi outside the mask meets only
+    exact zeros, so it has no effect on chi(r)."""
+    support = np.any(_transform_matrix(grid, config)[1] != 0, axis=0)
+    support.setflags(write=False)
+    return support
+
+
 def resample_onto(spec: KSpectrum, grid: KGrid) -> KSpectrum:
     """Linear interpolation of chi onto a new uniform grid (no extrapolation)."""
     src = spec.grid

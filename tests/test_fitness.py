@@ -13,9 +13,16 @@ from exafsga.fitness import (
     metrics,
 )
 from exafsga.ga import Chromosome, GeneCodec, default_gene_specs
-from exafsga.model import ModelEvaluator, PathParams
+from exafsga.model import ModelError, ModelEvaluator, PathParams, evaluate_model
 from exafsga.paths import PathSet, synth_path
-from exafsga.spectra import FTConfig, KGrid, KSpectrum
+from exafsga.spectra import (
+    EV_TO_KSQ,
+    FTConfig,
+    KGrid,
+    KSpectrum,
+    transform_k_to_r,
+    transform_support,
+)
 from test_spectra import direct_transform
 
 
@@ -163,3 +170,77 @@ class TestSpectrumObjective:
                 m = (k >= ft.k_range[0]) & (k <= ft.k_range[1]) & valid
                 expected += np.sum((k[m] ** 2 * (chi[m] - data.chi[m])) ** 2)
             assert obj.evaluate_genes(genes) == pytest.approx(expected, rel=1e-12)
+
+
+class TestRestrictedEvaluation:
+    """The objective evaluates the model only at the fit range and the
+    transform's support; its results equal a full-grid evaluation exactly."""
+
+    # Grid points at 0.52 + 0.05 i, transform samples at 0.05 n: with no sill
+    # the transform reads 2.52 and 11.97, just outside the fit k-range.
+    GRID = KGrid(0.52, 12.52, 0.05)
+    FT = FTConfig(k_range=(2.53, 11.96), window_sill=0.0)
+
+    def make(self, space, ft):
+        grid = self.GRID
+        paths = PathSet(
+            paths=tuple(synth_path(2.2 + 0.6 * i, 6, grid, label=f"p{i}") for i in range(3))
+        )
+        truth = np.concatenate([[-0.4], [0.7, 0.004, 0.01] * 3])
+        rng = np.random.default_rng(3)
+        chi = ModelEvaluator(paths, grid).evaluate_genes(truth)[0]
+        data = KSpectrum(grid, chi + rng.normal(0.0, 0.01, grid.n_points))
+        return SpectrumObjective(data, paths, FitnessConfig(ft=ft, space=space)), rng
+
+    def test_support_reaches_outside_the_fit_range(self):
+        k = self.GRID.ks
+        k_mask = (k >= self.FT.k_range[0]) & (k <= self.FT.k_range[1])
+        outside = transform_support(self.GRID, self.FT) & ~k_mask
+        assert np.count_nonzero(outside) == 2
+
+    @pytest.mark.parametrize("sill", [0.0, 1.0])
+    @pytest.mark.parametrize("space", ["K", "R", "K+R"])
+    def test_equals_full_grid_evaluation(self, space, sill):
+        ft = FTConfig(k_range=self.FT.k_range, window_sill=sill)
+        obj, rng = self.make(space, ft)
+        full = ModelEvaluator(obj.paths, obj.grid)
+        k = obj.grid.ks
+        k_mask = (k >= ft.k_range[0]) & (k <= ft.k_range[1])
+        kw = k**obj.config.k_weight
+        data_r = transform_k_to_r(obj.data, ft).magnitude
+        codec = GeneCodec(default_gene_specs(3, e0_bounds=(-5.0, 5.0, 0.01)))
+        for genes in codec.random(rng, 8):
+            chi, valid = full.evaluate_genes(genes)
+            model_r = transform_k_to_r(KSpectrum(obj.grid, np.where(valid, chi, 0.0)), ft)
+            m = k_mask & valid
+            expected = 0.0
+            if space in ("K", "K+R"):
+                expected += chi2(kw[m] * chi[m], kw[m] * obj.data.chi[m], obj.config)
+            if space in ("R", "K+R"):
+                expected += chi2(model_r.magnitude, data_r, obj.config)
+            assert obj.evaluate_genes(genes) == expected
+            metrics_k, metrics_r = obj.report(genes)
+            assert metrics_k == {
+                **metrics(kw[m] * chi[m], kw[m] * obj.data.chi[m]),
+                "unweighted": metrics(chi[m], obj.data.chi[m]),
+            }
+            assert metrics_r == metrics(model_r.magnitude, data_r)
+
+    def test_shift_past_theory_range_outside_points_raises(self):
+        # The theory arrays end at 12.6; a -10 eV shift takes only the
+        # grid's last points, outside the fit range and the transform's
+        # support, past that end.
+        grid = KGrid(0.5, 12.5, 0.05)
+        paths = PathSet(paths=(synth_path(2.5, 6, grid, label="p", k_pad=0.1),))
+        data = evaluate_model(paths, Chromosome(0.0, (PathParams(0.7, 0.004, 0.0),)), grid)
+        ft = FTConfig(k_range=(2.0, 11.0))
+        obj = SpectrumObjective(data, paths, FitnessConfig(ft=ft))
+        k = grid.ks
+        points = ((k >= 2.0) & (k <= 11.0)) | transform_support(grid, ft)
+        genes = np.array([-10.0, 0.7, 0.004, 0.0])
+        assert not points[-1]
+        assert np.sqrt(k[points][-1] ** 2 + 10.0 * EV_TO_KSQ) < paths.paths[0].k_theory[-1]
+        with pytest.raises(ModelError, match="theory range"):
+            ModelEvaluator(paths, grid).evaluate_genes(genes)
+        with pytest.raises(ModelError, match="theory range"):
+            obj.evaluate_genes(genes)

@@ -234,3 +234,116 @@ class TestModelEvaluator:
         first, _ = ev.evaluate_genes(genes)
         second, _ = ev.evaluate_genes(genes)
         assert np.array_equal(first, second)
+
+
+def theory_path(label, kt, seed, r_eff=2.5):
+    """Path on the theory grid kt with random smooth-ish theory rows."""
+    rng = np.random.default_rng(seed)
+    n = kt.size
+    return ScatteringPath(
+        label=label,
+        degeneracy=float(rng.integers(1, 13)),
+        r_eff=r_eff,
+        k_theory=kt,
+        f_eff=rng.uniform(0.0, 1.0, n),
+        phase_scatter=rng.uniform(-3.0, 3.0, n),
+        phase_central=rng.uniform(-3.0, 3.0, n),
+        lam=rng.uniform(2.0, 12.0, n),
+    )
+
+
+class TestTables:
+    """ΔE0 tables against np.interp path by path, bit for bit."""
+
+    @staticmethod
+    def assert_tables_match_interp(ps, grid, delta_e0):
+        ev = ModelEvaluator(ps, grid)
+        valid, used, kv, deg_f_k, phase, neg2_inv_lam, _ = ev._tables(delta_e0)
+        kp, valid_ref = shift_k(grid, delta_e0)
+        np.testing.assert_array_equal(valid, valid_ref)
+        np.testing.assert_array_equal(kv, kp[valid_ref])
+        for i, p in enumerate(ps):
+            kt = p.k_theory
+            np.testing.assert_array_equal(
+                deg_f_k[i], p.degeneracy * np.interp(kv, kt, p.f_eff) / kv
+            )
+            np.testing.assert_array_equal(
+                phase[i],
+                np.interp(kv, kt, p.phase_scatter) + np.interp(kv, kt, p.phase_central),
+            )
+            np.testing.assert_array_equal(neg2_inv_lam[i], -2.0 / np.interp(kv, kt, p.lam))
+
+    def test_shared_uniform_grid(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        kt = np.arange(0.0, 14.0, 0.05)
+        ps = PathSet(paths=tuple(theory_path(f"p{i}", kt, i) for i in range(6)))
+        for delta_e0 in (-4.99, -1.7, 0.0, 0.03, 2.5, 4.37):
+            self.assert_tables_match_interp(ps, grid, delta_e0)
+
+    def test_two_non_uniform_grids_interleaved(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        rng = np.random.default_rng(5)
+        kt_a = np.sort(np.concatenate([[0.0, 14.0], rng.uniform(0.0, 14.0, 150)]))
+        kt_b = np.geomspace(0.1, 15.0, 90)
+        ps = PathSet(
+            paths=(
+                theory_path("a0", kt_a, 1),
+                theory_path("b0", kt_b, 2),
+                theory_path("a1", kt_a, 3),
+                theory_path("b1", kt_b, 4),
+                theory_path("a2", kt_a, 5),
+            )
+        )
+        for delta_e0 in (-3.3, 0.0, 0.77, 5.0):
+            self.assert_tables_match_interp(ps, grid, delta_e0)
+
+    def test_shifted_k_on_the_grid_ends(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        kt = grid.ks.copy()
+        kp, _ = shift_k(grid, 0.0)
+        assert kp[0] == kt[0] and kp[-1] == kt[-1]
+        ps = PathSet(paths=(theory_path("p0", kt, 0), theory_path("p1", kt, 1)))
+        self.assert_tables_match_interp(ps, grid, 0.0)
+
+    def test_shifted_k_within_tolerance_outside_the_grid(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        kt = grid.ks + np.linspace(5e-10, -5e-10, grid.n_points)
+        assert kt[0] > grid.k_min and kt[-1] < grid.k_max
+        ps = PathSet(paths=(theory_path("p0", kt, 0), theory_path("p1", kt, 1)))
+        self.assert_tables_match_interp(ps, grid, 0.0)
+
+    def test_out_of_range_names_the_first_bad_path(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        ps = PathSet(
+            paths=(
+                theory_path("wide", np.arange(0.0, 16.0, 0.05), 0),
+                theory_path("tight", np.arange(0.0, 12.3, 0.05), 1),
+                theory_path("tighter", np.arange(0.0, 12.1, 0.05), 2),
+            )
+        )
+        genes = np.concatenate([[-30.0], [0.8, 0.001, 0.0] * 3])
+        with pytest.raises(ModelError, match="^path tight: shifted k"):
+            ModelEvaluator(ps, grid).evaluate_genes(genes)
+
+
+class TestPoints:
+    def test_model_is_zero_outside_points_and_equal_inside(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        ps = PathSet(
+            paths=tuple(synth_path(2.0 + 0.5 * i, 6.0, grid, label=f"p{i}") for i in range(3))
+        )
+        points = (grid.ks >= 3.0) & (grid.ks <= 9.0)
+        full = ModelEvaluator(ps, grid)
+        part = ModelEvaluator(ps, grid, points=points)
+        genes = np.concatenate([[1.3], [0.8, 0.004, 0.02] * 3])
+        chi_full, valid_full = full.evaluate_genes(genes)
+        chi, valid = part.evaluate_genes(genes)
+        np.testing.assert_array_equal(valid, valid_full)
+        np.testing.assert_array_equal(chi[points], chi_full[points])
+        assert np.all(chi[~points] == 0.0)
+
+    def test_points_shape_checked(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        ps = PathSet(paths=(synth_path(2.5, 6.0, grid, label="p"),))
+        with pytest.raises(ModelError, match="points"):
+            ModelEvaluator(ps, grid, points=np.ones(3, dtype=bool))

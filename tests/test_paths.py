@@ -58,6 +58,18 @@ class TestParser:
         with pytest.raises(PathParseError, match="lambda"):
             parse_feff_path(bad)
 
+    @pytest.mark.parametrize(
+        "old,new,field",
+        [
+            ("12.00000", "nan", "degeneracy"),
+            ("2.2591e-01", "inf", "f_eff"),
+        ],
+    )
+    def test_non_finite_value_names_file_and_field(self, old, new, field):
+        bad = MINIMAL_FILE.replace(old, new)
+        with pytest.raises(PathParseError, match=f"path feff0001.dat: {field} "):
+            parse_feff_path(bad, label="feff0001.dat")
+
     def test_roundtrip(self):
         grid = KGrid(0.5, 12.0, 0.05)
         original = synth_path(2.5527, 12.0, grid, amp_scale=0.7, label="rt")
@@ -123,6 +135,31 @@ class TestScatteringPathInvariants:
                 phase_central=np.zeros(2),
                 lam=np.ones(2),
             )
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["degeneracy", "r_eff", "k_theory", "f_eff", "phase_scatter",
+         "phase_central", "lam", "real_p"],
+    )
+    def test_non_finite_rejected_naming_label_and_field(self, field, value):
+        fields = dict(
+            degeneracy=6.0,
+            r_eff=2.5,
+            k_theory=np.array([0.0, 1.0, 2.0]),
+            f_eff=np.full(3, 0.5),
+            phase_scatter=np.zeros(3),
+            phase_central=np.zeros(3),
+            lam=np.ones(3),
+            real_p=np.ones(3),
+        )
+        if np.ndim(fields[field]):
+            fields[field][1] = value
+        else:
+            fields[field] = value
+        with pytest.raises(PathParseError, match=f"path shell1: {field} "):
+            ScatteringPath(label="shell1", **fields)
 
 
 class TestPathSet:
