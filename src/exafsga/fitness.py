@@ -128,11 +128,13 @@ class SpectrumObjective:
             m = self._k_mask & valid
             total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
         if self.config.space in ("R", "K+R"):
-            total += chi2(self._r_magnitude(chi, valid), self._data_r, self.config)
+            total += chi2(self._r_magnitude(chi), self._data_r, self.config)
         return total
 
-    def _r_magnitude(self, chi: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        spec = KSpectrum(grid=self.grid, chi=np.where(valid, chi, 0.0))
+    def _r_magnitude(self, chi: np.ndarray) -> np.ndarray:
+        """|chi(r)| of a model chi, which the evaluator already zeroes at the
+        points the energy shift invalidates."""
+        spec = KSpectrum(grid=self.grid, chi=chi)
         return transform_k_to_r(spec, self.config.ft).magnitude
 
     def report(self, genes) -> tuple[dict, dict]:
@@ -150,7 +152,7 @@ class SpectrumObjective:
         except FitnessError:
             pass
         try:
-            metrics_r = metrics(self._r_magnitude(chi, valid), self._data_r)
+            metrics_r = metrics(self._r_magnitude(chi), self._data_r)
         except FitnessError:
             pass
         return metrics_k, metrics_r

@@ -221,12 +221,16 @@ def crossover_uniform(parent_a, parent_b, rng: np.random.Generator) -> np.ndarra
 
 
 def crossover_and(parent_a, parent_b, codec: GeneCodec) -> np.ndarray:
-    """Bitwise AND of the parents' quantized grid indices, per gene."""
+    """Bitwise AND of the parents' quantized grid indices, per gene.  The
+    parents may be single gene vectors or (n, G) blocks of them, crossed
+    row by row."""
     return codec.decode(codec.encode(parent_a) & codec.encode(parent_b))
 
 
 def crossover_or(parent_a, parent_b, codec: GeneCodec) -> np.ndarray:
-    """Bitwise OR of the parents' quantized grid indices, clamped to bounds."""
+    """Bitwise OR of the parents' quantized grid indices, clamped to bounds.
+    The parents may be single gene vectors or (n, G) blocks of them, crossed
+    row by row."""
     return codec.decode(codec.encode(parent_a) | codec.encode(parent_b))
 
 
@@ -388,16 +392,20 @@ def evolve(
     while gen < ga_config.max_generations:
         elite = select(fits, ga_config)
         n_elite = elite.size
-        children = np.empty((pop_size - n_elite - n_random, codec.n_genes))
-        for c in range(children.shape[0]):
-            i, j = _pick_two_parents(n_elite, rng)
-            pa, pb = pop[elite[i]], pop[elite[j]]
-            if crossover == "uniform":
-                children[c] = crossover_uniform(pa, pb, rng)
-            elif crossover == "and":
-                children[c] = crossover_and(pa, pb, codec)
-            else:
-                children[c] = crossover_or(pa, pb, codec)
+        n_children = pop_size - n_elite - n_random
+        if crossover == "uniform":
+            # Each child's mask draw follows its parents' draws: child by child.
+            children = np.empty((n_children, codec.n_genes))
+            for c in range(n_children):
+                i, j = _pick_two_parents(n_elite, rng)
+                children[c] = crossover_uniform(pop[elite[i]], pop[elite[j]], rng)
+        else:
+            # AND/OR draw nothing but the parents: draw every pair in child
+            # order, then cross all the pairs in one block.
+            pairs = [_pick_two_parents(n_elite, rng) for _ in range(n_children)]
+            pairs = elite[np.array(pairs, dtype=np.intp).reshape(n_children, 2)]
+            cross = crossover_and if crossover == "and" else crossover_or
+            children = cross(pop[pairs[:, 0]], pop[pairs[:, 1]], codec)
 
         memo.clear()
         memo.update(zip(map(np.ndarray.tobytes, pop), fits.tolist()))

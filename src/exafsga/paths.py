@@ -236,6 +236,7 @@ def load_manifest(manifest_path) -> PathSet:
 
     base = os.path.dirname(os.path.abspath(str(manifest_path)))
     paths = []
+    first_line: dict[str, int] = {}  # label -> manifest line that listed it
     with open(manifest_path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -243,6 +244,12 @@ def load_manifest(manifest_path) -> PathSet:
                 continue
             parts = line.split()
             fname = parts[0]
+            if fname in first_line:
+                raise PathParseError(
+                    f"{manifest_path}:{lineno}: path {fname} already listed"
+                    f" on line {first_line[fname]}; path labels must be unique"
+                )
+            first_line[fname] = lineno
             sp = load_path_file(os.path.join(base, fname), label=fname)
             if len(parts) > 1:
                 try:

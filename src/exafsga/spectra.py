@@ -4,7 +4,7 @@ K-space spectra live on uniform grids of photoelectron wavenumber k (inverse
 Angstrom).  The k->r transform is the windowed, k-weighted, zero-padded
 discrete Fourier transform conventional in XAFS analysis, with output
 distances r_m = m*pi/(n_fft*delta_k).  It is linear in chi, so it is applied
-as one complex matrix per (KGrid, FTConfig), built once and cached.
+as one real matrix per (KGrid, FTConfig), built once and cached.
 """
 
 from __future__ import annotations
@@ -148,12 +148,19 @@ def make_window(config: FTConfig, grid: KGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _transform_matrix(grid: KGrid, config: FTConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(r, M) with chi(r) = M @ chi(k) for every spectrum on grid.
+def _transform_matrix(
+    grid: KGrid, config: FTConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, support, A) with chi(r) = M @ chi(k) computed as A @ chi(k)[support],
+    for every spectrum on grid.
 
-    M folds the linear interpolation of chi onto n*delta_k (0 outside the
-    grid), the window, k^w, the i*delta_k/sqrt(pi*n_fft) factor and the DFT
-    rows of the r-points inside r_range; shape (n_r, grid.n_points).
+    The complex matrix M folds the linear interpolation of chi onto
+    n*delta_k (0 outside the grid), the window, k^w, the
+    i*delta_k/sqrt(pi*n_fft) factor and the DFT rows of the r-points inside
+    r_range.  support marks the columns of M holding a nonzero entry.  A is
+    real, of shape (2*n_r, n_support): rows 2m and 2m+1 hold Re M[m] and
+    Im M[m] on the support's columns, so chi is never cast to complex and
+    the product's memory already is chi(r) as complex numbers.
     """
     k = grid.ks
     in_range = (k >= config.k_range[0]) & (k <= config.k_range[1])
@@ -183,9 +190,12 @@ def _transform_matrix(grid: KGrid, config: FTConfig) -> tuple[np.ndarray, np.nda
     dft = np.exp(2j * np.pi * (np.outer(m, n) % n_fft) / n_fft)
     weight = window_weights(kk, config) * kk**config.k_weight
     matrix = (1j * grid.delta_k / np.sqrt(np.pi * n_fft)) * (dft * weight) @ interp
-    r.setflags(write=False)
-    matrix.setflags(write=False)
-    return r, matrix
+    support = np.any(matrix != 0, axis=0)
+    real = np.stack([matrix.real[:, support], matrix.imag[:, support]], axis=1)
+    real = real.reshape(2 * r.size, np.count_nonzero(support))
+    for a in (r, support, real):
+        a.setflags(write=False)
+    return r, support, real
 
 
 def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
@@ -196,25 +206,25 @@ def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
     n*delta_k (0 outside k_range and the grid), r_m = m*pi/(n_fft*delta_k),
     and the output cropped to r_range.
 
-    The sum is applied as one cached (n_r, n_points) matrix, so a call costs
-    O(n_r * n_points) instead of an FFT's O(n_fft log n_fft), after 7-32 ms
-    to build the matrix once per (grid, config).  It wins while r_range and
-    the grid are short: with n_fft = 2048 on a 0.05 A^-1 grid over
-    0.5-13 A^-1, 16 us per call against the FFT's 107 us at r <= 6 A and 27
-    against 84 us at r <= 10 A; on a 0.025 A^-1 grid at r <= 31 A it takes
-    198 us against 114 us (single-threaded BLAS on an Intel Xeon core).
+    The sum is applied as one cached real (2*n_r, n_support) matrix to chi
+    on transform_support, so a call costs O(n_r * n_support) instead of an
+    FFT's O(n_fft log n_fft), after 5-33 ms to build the matrix once per
+    (grid, config).  It wins while r_range and the grid are short: with
+    n_fft = 2048 on a 0.05 A^-1 grid over 0.5-13 A^-1 and k_range 2.5-12.5,
+    17-20 us per call against the FFT's 108-125 us at r <= 6 A and 27-32
+    against 137-153 us at r <= 10 A; on a 0.025 A^-1 grid at r <= 31 A it
+    takes 143-157 us against 122-144 us (single-threaded BLAS on an Intel
+    Xeon core, range over three runs).
     """
-    r, matrix = _transform_matrix(spec.grid, config)
-    return RSpectrum(r=r, chi_r=matrix @ spec.chi)
+    r, support, real = _transform_matrix(spec.grid, config)
+    return RSpectrum(r=r, chi_r=(real @ spec.chi[support]).view(np.complex128))
 
 
 def transform_support(grid: KGrid, config: FTConfig) -> np.ndarray:
     """Boolean mask of the grid points transform_k_to_r reads: the columns of
-    its matrix holding a nonzero entry.  chi outside the mask meets only
-    exact zeros, so it has no effect on chi(r)."""
-    support = np.any(_transform_matrix(grid, config)[1] != 0, axis=0)
-    support.setflags(write=False)
-    return support
+    its matrix holding a nonzero entry.  chi outside the mask has no effect
+    on chi(r)."""
+    return _transform_matrix(grid, config)[1]
 
 
 def resample_onto(spec: KSpectrum, grid: KGrid) -> KSpectrum:

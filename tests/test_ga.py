@@ -133,6 +133,19 @@ class TestCrossover:
         child = crossover_or(np.array([5.0]), np.array([3.0]), codec)
         assert child[0] == 6.0  # OR gives 7, clamped to the top level
 
+    def test_and_or_blocks_equal_row_by_row(self):
+        # Gene 0 has indices 0..6 and gene 1 indices 0..200, so OR reaches
+        # indices past the top level, which decode clamps.
+        codec = GeneCodec([GeneSpec("a", 0.0, 6.0, 1.0), GeneSpec("b", -1.0, 1.0, 0.01)])
+        rng = np.random.default_rng(4)
+        a, b = codec.random(rng, 60), codec.random(rng, 60)
+        assert np.any((codec.encode(a) | codec.encode(b)) > codec.n_levels - 1)
+        for cross in (crossover_and, crossover_or):
+            block = cross(a, b, codec)
+            rows = np.array([cross(pa, pb, codec) for pa, pb in zip(a, b)])
+            assert block.shape == a.shape
+            assert np.array_equal(block, rows)
+
     def test_bit_lattice_bounds(self):
         codec = small_codec()
         rng = np.random.default_rng(3)

@@ -222,3 +222,16 @@ class TestManifest:
         manifest.write_text("# nothing\n")
         with pytest.raises(PathParseError):
             load_manifest(manifest)
+
+    def test_repeated_path_names_manifest_line_and_label(self, tmp_path):
+        grid = KGrid(0.5, 10.0, 0.1)
+        for i in range(2):
+            p = synth_path(2.5 + i, 12, grid, label=f"f{i}")
+            (tmp_path / f"feff000{i}.dat").write_text(serialize_feff_path(p))
+        manifest = tmp_path / "paths.txt"
+        manifest.write_text("feff0000.dat\n# comment\nfeff0001.dat\nfeff0000.dat 6\n")
+        with pytest.raises(PathParseError) as info:
+            load_manifest(manifest)
+        message = str(info.value)
+        assert f"{manifest}:4:" in message
+        assert "feff0000.dat" in message and "line 1" in message

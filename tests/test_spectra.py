@@ -13,6 +13,7 @@ from exafsga.spectra import (
     read_chi_file,
     resample_onto,
     transform_k_to_r,
+    transform_support,
     window_weights,
     write_chi_file,
 )
@@ -142,6 +143,26 @@ class TestTransform:
             transform_k_to_r(spec, FTConfig(k_range=(2.1, 2.4), window_sill=0.1))
         with pytest.raises(TransformConfigError, match="smaller than 17 in-range samples"):
             transform_k_to_r(spec, FTConfig(k_range=(2.0, 10.0), n_fft=16))
+
+    def test_chi_outside_support_transforms_to_zero(self):
+        grid = KGrid(k_min=0.5, k_max=6.0, delta_k=0.1)
+        cfg = FTConfig(k_range=(1.0, 5.5), n_fft=64, window_sill=0.5, r_range=(0, 20))
+        support = transform_support(grid, cfg)
+        assert 0 < np.count_nonzero(support) < grid.n_points
+        chi = np.where(support, 0.0, np.random.default_rng(5).normal(size=grid.n_points))
+        out = transform_k_to_r(KSpectrum(grid=grid, chi=chi), cfg)
+        assert np.all(out.chi_r == 0)
+
+    def test_support_is_the_columns_read(self):
+        # Grid point j is read iff the unit spectrum at j has a nonzero
+        # transform, by the product and by the direct sum alike.
+        grid = KGrid(k_min=0.5, k_max=6.0, delta_k=0.1)
+        cfg = FTConfig(k_range=(1.0, 5.5), n_fft=64, window_sill=0.5, r_range=(0, 20))
+        support = transform_support(grid, cfg)
+        for j in range(grid.n_points):
+            unit = KSpectrum(grid=grid, chi=np.eye(grid.n_points)[j])
+            assert np.any(transform_k_to_r(unit, cfg).chi_r != 0) == support[j]
+            assert np.any(direct_transform(unit, cfg)[1] != 0) == support[j]
 
     def test_linearity(self, grid):
         rng = np.random.default_rng(3)
