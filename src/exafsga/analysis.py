@@ -22,8 +22,9 @@ class AnalysisError(ValueError):
 class CutoffReport:
     """Per-path spectral-area fractions and the paths surviving the cutoff.
 
-    best_before is the chromosome the fractions come from and chi2_before its
-    fitness; best_after and chi2_after are the refit's best on the pruned set.
+    best_before is the chromosome the fractions come from.  cutoff_sweep fills
+    in its fitness chi2_before, and best_after and chi2_after, the refit's best
+    on the pruned set.
     """
 
     labels: tuple[str, ...]
@@ -85,7 +86,6 @@ def cutoff_select(
     fit_range: tuple[float, float],
     cutoff_percent: float,
     k_weight: int = 2,
-    chi2_before: float | None = None,
 ) -> CutoffReport:
     """Score each path by its k-weighted absolute spectral area fraction.
 
@@ -117,7 +117,6 @@ def cutoff_select(
         cutoff_percent=cutoff_percent,
         selected=selected,
         pruned=paths.subset(selected),
-        chi2_before=chi2_before,
         best_before=chromosome,
     )
 
@@ -166,7 +165,6 @@ def cutoff_sweep(
                 fitness_config.ft.k_range,
                 percent,
                 k_weight=fitness_config.k_weight,
-                chi2_before=first.best_fitness,
             )
             second = run_ga(
                 data,
@@ -175,9 +173,8 @@ def cutoff_sweep(
                 fitness_config,
                 gene_spec_builder(len(report.pruned)),
             )
-            reports.append(
-                replace(report, chi2_after=second.best_fitness, best_after=second.best)
-            )
+            reports.append(replace(report, chi2_before=first.best_fitness,
+                                   chi2_after=second.best_fitness, best_after=second.best))
             chi2s.append(second.best_fitness)
         rows.append(
             {

@@ -15,8 +15,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     DEFAULT_HYPER_RANGES, MIN_HYPER, cutoff_sweep, error_analysis, synth_generate,
@@ -26,15 +24,7 @@ from .ga import Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
 from .model import PathParams, evaluate_model
 from .paths import PathSet, load_manifest, synth_path
 from .spectra import (
-    FTConfig,
-    KGrid,
-    KSpectrum,
-    SpectrumError,
-    atomic_write,
-    read_chi_file,
-    resample_onto,
-    transform_k_to_r,
-    write_chi_file,
+    FTConfig, KGrid, KSpectrum, atomic_write, load_data, transform_k_to_r, write_chi_file,
 )
 
 MODES = ("fit", "cutoff-sweep", "error-analysis", "synth", "benchmark")
@@ -96,11 +86,17 @@ def _range(cast, minimum=None):
     return parse
 
 
-def _triple(raw: str) -> tuple[float, float, float]:
-    vals = _list(float)(raw)
-    if len(vals) != 3:
-        raise ValueError("needs 'lower upper step'")
-    return vals
+def _bounds(minimum=None):
+    """Cast of a 'lower upper step' triple with minimum <= lower."""
+    def parse(raw: str) -> tuple[float, float, float]:
+        vals = _list(float)(raw)
+        if len(vals) != 3:
+            raise ValueError("needs 'lower upper step'")
+        if minimum is not None and vals[0] < minimum:
+            raise ValueError(f"lower must be at least {minimum}")
+        return vals
+
+    return parse
 
 
 def _optional_int(raw: str) -> int | None:
@@ -142,11 +138,22 @@ SETTINGS = (
     ("ga", "rechenberg_factor", "rechenberg_factor", float, 0.9),
     ("ga", "patience", "patience", int, 20),
     ("ga", "rng_seed", "rng_seed", int, 0),
-    ("genes", "delta_e0", "delta_e0", _triple, (-10.0, 10.0, 0.01)),
-    ("genes", "s02", "s02", _triple, (0.0, 1.2, 0.005)),
-    ("genes", "sigma2", "sigma2", _triple, (0.0, 0.02, 1e-4)),
-    ("genes", "delta_r", "delta_r", _triple, (-0.2, 0.2, 1e-3)),
+    ("genes", "delta_e0", "delta_e0", _bounds(), (-10.0, 10.0, 0.01)),
+    ("genes", "s02", "s02", _bounds(0.0), (0.0, 1.2, 0.005)),
+    ("genes", "sigma2", "sigma2", _bounds(0.0), (0.0, 0.02, 1e-4)),
+    ("genes", "delta_r", "delta_r", _bounds(), (-0.2, 0.2, 1e-3)),
 )
+
+# The keys parse_config reads, per section.  [synth_paths] is not listed: its
+# keys are path labels, and every one is read.
+KEYS = {
+    **{section: {k for s, k, *_ in SETTINGS if s == section} for section, *_ in SETTINGS},
+    "run": {"mode", "output_dir", "data_file", "path_manifest"},
+    "synth": {"s02", "sigma2", "delta_r", "delta_e0", "snr", "seed"},
+    "cutoff": {"percents", "repeats"},
+    "error": {"n_runs", "population", "generations", "mutation_rate"},
+    "benchmark": {"n_paths", "generations"},
+}
 
 
 def parse_config(path: str) -> RunConfig:
@@ -159,6 +166,16 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
     if "run" not in cp:
         raise ConfigError(f"{path}: missing [run] section")
+    if cp.defaults():
+        raise ConfigError(f"{path}: unknown section [{cp.default_section}]")
+    for section in cp.sections():
+        if section == "synth_paths":
+            continue
+        if section not in KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in cp[section]:
+            if key not in KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key '{key}'")
 
     run = cp["run"]
     mode = _get(cp, "run", "mode", required=True)
@@ -220,21 +237,6 @@ def parse_config(path: str) -> RunConfig:
     return cfg
 
 
-def load_data(path: str, grid: KGrid) -> KSpectrum:
-    """Read a two-column spectrum file and resample it onto the run grid."""
-    k, chi = read_chi_file(path)
-    src_grid = KGrid(k_min=k[0], k_max=k[-1], delta_k=(k[-1] - k[0]) / (len(k) - 1))
-    dk = np.diff(k)
-    if np.max(np.abs(dk - dk[0])) > 1e-6 * dk[0]:
-        # Non-uniform input: interpolate directly onto the run grid.
-        if grid.k_min < k[0] - 1e-9 or grid.k_max > k[-1] + 1e-9:
-            raise SpectrumError(
-                f"{path}: run grid extends beyond data range [{k[0]}, {k[-1]}]"
-            )
-        return KSpectrum(grid=grid, chi=np.interp(grid.ks, k, chi))
-    return resample_onto(KSpectrum(grid=src_grid, chi=chi), grid)
-
-
 def build_paths(cfg: RunConfig) -> PathSet:
     if cfg.path_manifest:
         return load_manifest(cfg.path_manifest)
@@ -250,8 +252,7 @@ def build_paths(cfg: RunConfig) -> PathSet:
                     label=key,
                 )
                 for key, *vals in cfg.synth_paths
-            ),
-            source="synthetic",
+            )
         )
     raise ConfigError("either path_manifest or a [synth_paths] section is required")
 
@@ -399,8 +400,7 @@ def benchmark_scaling(
                     label=f"bench_{i}",
                 )
                 for i in range(n)
-            ),
-            source="benchmark",
+            )
         )
         truth = Chromosome(
             delta_e0=0.0,

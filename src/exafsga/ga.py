@@ -474,6 +474,10 @@ def run_ga(
         raise GAError(
             f"gene specs ({len(gene_specs)}) do not match 3*{n_paths} + 1 genes"
         )
+    for i, spec in enumerate(gene_specs):
+        if i % 3 and spec.lower < 0:
+            kind = ("s02", "sigma2")[i % 3 - 1]
+            raise GAError(f"{spec.name}: lower bound {spec.lower} admits a negative {kind}")
     objective = SpectrumObjective(data, paths, fitness_config)
     genes, fitness, history, exit_reason = evolve(
         objective.evaluate_genes, gene_specs, ga_config

@@ -82,10 +82,11 @@ class ModelEvaluator:
     implementation of the EXAFS equation.
 
     Interpolation tables depend only on delta_e0, which is quantized in the
-    genetic search, so they are cached per value; the remaining arithmetic
-    is vectorized across paths.  Paths whose k_theory arrays are byte-equal
-    share one theory grid: their f_eff, phase_scatter, phase_central and lam
-    rows are stacked, with the slopes of each interval, so a table costs one
+    genetic search, so they are cached per value, up to cache_size tables
+    (the oldest is dropped first); the remaining arithmetic is vectorized
+    across paths.  Paths whose k_theory arrays are byte-equal share one
+    theory grid: their f_eff, phase_scatter, phase_central and lam rows are
+    stacked, with the slopes of each interval, so a table costs one
     searchsorted and one gather per theory grid.  The gather computes
     slope[j]*(k' - kt[j]) + fp[j], the formula np.interp uses, so the tables
     equal np.interp's bit for bit.
@@ -100,8 +101,6 @@ class ModelEvaluator:
     def __init__(
         self, paths: PathSet, grid: KGrid, cache_size: int = 4096, points=None
     ):
-        from collections import OrderedDict
-
         self.paths = paths
         self.grid = grid
         self.n_paths = len(paths)
@@ -134,14 +133,13 @@ class ModelEvaluator:
             slope = np.zeros_like(fp)
             slope[..., :-1] = np.diff(fp, axis=-1) / np.diff(kt)
             self._groups.append((idx, kt, fp, slope))
-        self._cache: "OrderedDict" = OrderedDict()
+        self._cache: dict = {}
         self._cache_size = cache_size
 
     def _tables(self, delta_e0: float):
         key = round(float(delta_e0), 12)
         hit = self._cache.get(key)
         if hit is not None:
-            self._cache.move_to_end(key)
             return hit
         kp, valid = shift_k(self.grid, delta_e0)
         if valid.any():
@@ -177,7 +175,7 @@ class ModelEvaluator:
         )
         self._cache[key] = entry
         if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
+            del self._cache[next(iter(self._cache))]  # the oldest table
         return entry
 
     @staticmethod

@@ -76,7 +76,6 @@ class PathSet:
     """Ordered collection of scattering paths."""
 
     paths: tuple[ScatteringPath, ...]
-    source: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
@@ -97,10 +96,7 @@ class PathSet:
 
     def subset(self, labels) -> "PathSet":
         keep = set(labels)
-        return PathSet(
-            paths=tuple(p for p in self.paths if p.label in keep),
-            source=f"{self.source} (subset)",
-        )
+        return PathSet(paths=tuple(p for p in self.paths if p.label in keep))
 
 
 _DASHES = re.compile(r"^\s*-{4,}\s*$")
@@ -262,7 +258,7 @@ def load_manifest(manifest_path) -> PathSet:
             paths.append(sp)
     if not paths:
         raise PathParseError(f"{manifest_path}: empty manifest")
-    return PathSet(paths=tuple(paths), source=str(manifest_path))
+    return PathSet(paths=tuple(paths))
 
 
 def synth_path(

@@ -9,6 +9,7 @@ as one real matrix per (KGrid, FTConfig), built once and cached.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -242,7 +243,8 @@ def read_chi_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (k, chi) text file.
 
     Whitespace- or comma-delimited; lines starting with '#' are ignored.
-    Returns raw (k, chi) arrays; k must be strictly increasing.
+    Returns raw (k, chi) arrays; every value must be finite and k
+    non-negative and strictly increasing.
     """
     ks, chis = [], []
     with open(path) as fh:
@@ -254,10 +256,15 @@ def read_chi_file(path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) < 2:
                 raise SpectrumError(f"{path}:{lineno}: expected two columns")
             try:
-                ks.append(float(parts[0]))
-                chis.append(float(parts[1]))
+                k, chi = float(parts[0]), float(parts[1])
             except ValueError:
                 raise SpectrumError(f"{path}:{lineno}: non-numeric value") from None
+            if not (math.isfinite(k) and math.isfinite(chi)):
+                raise SpectrumError(f"{path}:{lineno}: non-finite value")
+            if k < 0:
+                raise SpectrumError(f"{path}:{lineno}: negative k")
+            ks.append(k)
+            chis.append(chi)
     if len(ks) < 2:
         raise SpectrumError(f"{path}: fewer than two data rows")
     k = np.asarray(ks)
@@ -265,6 +272,16 @@ def read_chi_file(path) -> tuple[np.ndarray, np.ndarray]:
         bad = int(np.argmax(np.diff(k) <= 0))
         raise SpectrumError(f"{path}: k not strictly increasing near row {bad + 1}")
     return k, np.asarray(chis)
+
+
+def load_data(path, grid: KGrid) -> KSpectrum:
+    """Read a two-column (k, chi) file and interpolate it linearly onto grid.
+
+    The file's k need not be uniform, but must cover the grid."""
+    k, chi = read_chi_file(path)
+    if grid.k_min < k[0] - 1e-9 or grid.k_max > k[-1] + 1e-9:
+        raise SpectrumError(f"{path}: run grid extends beyond data range [{k[0]}, {k[-1]}]")
+    return KSpectrum(grid=grid, chi=np.interp(grid.ks, k, chi))
 
 
 def atomic_write(path, text: str) -> None:

@@ -5,6 +5,7 @@ acceptance report.  Fixtures are synthetic and fully seeded; the whole file
 runs in a few minutes on a laptop.
 """
 
+import functools
 import os
 import textwrap
 import time
@@ -31,7 +32,8 @@ from exafsga.ga import (
 )
 from exafsga.model import PathParams
 from exafsga.paths import PathSet, synth_path
-from exafsga.spectra import FTConfig, KGrid, KSpectrum, transform_k_to_r, window_weights
+from exafsga.spectra import FTConfig, KGrid, KSpectrum, transform_k_to_r
+from test_spectra import direct_transform
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -113,23 +115,6 @@ class TestSyntheticRecovery:
         assert elapsed < 900
 
 
-def direct_transform(spec, config):
-    """Independent O(N^2) summation defining the k->r transform."""
-    grid = spec.grid
-    n_fft = config.n_fft
-    kk = grid.delta_k * np.arange(n_fft)
-    chi = np.interp(kk, grid.ks, spec.chi, left=0.0, right=0.0)
-    f = chi * window_weights(kk, config) * kk**config.k_weight
-    f[(kk < config.k_range[0]) | (kk > config.k_range[1])] = 0.0
-    pref = 1j * grid.delta_k / np.sqrt(np.pi * n_fft)
-    out = np.empty(n_fft // 2, dtype=complex)
-    for m in range(n_fft // 2):
-        out[m] = pref * np.sum(f * np.exp(2j * np.pi * np.arange(n_fft) * m / n_fft))
-    r = np.arange(n_fft // 2) * np.pi / (n_fft * grid.delta_k)
-    keep = (r >= config.r_range[0]) & (r <= config.r_range[1])
-    return r[keep], out[keep]
-
-
 class TestTransformOracle:
     """Criterion 2: FFT transform equals the direct summation."""
 
@@ -203,7 +188,10 @@ class TestOperatorOrdering:
         return paths, data, specs
 
     @classmethod
+    @functools.cache
     def mean_metrics(cls, crossover, mutation, seeds):
+        """Mean K-space (r2, rmse) over the seeds; memoized, since the three
+        tests share the (uniform, maximum) and (uniform, nested) runs."""
         paths, data, specs = cls.benchmark()
         r2s, rmses = [], []
         for seed in seeds:

@@ -124,11 +124,28 @@ class TestParseConfig:
             ("error", "generations", "0 3"),
             ("synth", "snr", "loud"),
             ("benchmark", "n_paths", "5 ten"),
+            ("genes", "s02", "-1.0 -0.5 0.005"),
+            ("genes", "sigma2", "-0.01 0.01 0.0001"),
         ]:
             text = f"[run]\nmode = fit\n\n[{section}]\n{key} = {value}\n"
             message = rf"\[{section}\] key '{key}': cannot parse '{re.escape(value)}'"
             with pytest.raises(ConfigError, match=message):
                 parse_config(write_config(tmp_path, text))
+
+    def test_unknown_section_or_key_rejected(self, tmp_path):
+        for text, message in [
+            ("\n[ga]\npopulaton_size = 99999\n", r"\[ga\] unknown key 'populaton_size'"),
+            ("seed = 3\n", r"\[run\] unknown key 'seed'"),
+            ("\n[fitting]\nspace = R\n", r"unknown section \[fitting\]"),
+            ("\n[DEFAULT]\nk_min = 1\n", r"unknown section \[DEFAULT\]"),
+        ]:
+            cfg = write_config(tmp_path, "[run]\nmode = fit\n" + text)
+            with pytest.raises(ConfigError, match=message):
+                parse_config(cfg)
+            assert main(["fit", "--config", cfg]) == 2
+        # [synth_paths] keys are path labels, not settings.
+        cfg = write_config(tmp_path, "[run]\nmode = synth\n\n[synth_paths]\nany_label = 2.3 6 1\n")
+        assert parse_config(cfg).synth_paths == [("any_label", 2.3, 6.0, 1.0)]
 
     def test_synth_lists_length_mismatch(self, tmp_path):
         cfg = write_config(
@@ -176,6 +193,22 @@ class TestLoadData:
         p.write_text("2.0 0.1\n1.0 0.2\n")
         with pytest.raises(SpectrumError):
             load_data(str(p), KGrid(1.0, 2.0, 0.5))
+
+    @pytest.mark.parametrize("grid", [KGrid(0.5, 12.5, 0.05), KGrid(1.0, 14.5, 0.05)])
+    def test_grid_beyond_data_range_rejected(self, tmp_path, grid):
+        p = tmp_path / "chi.dat"
+        p.write_text("\n".join(f"{a} {2*a}" for a in np.arange(0.6, 14.01, 0.1)))
+        with pytest.raises(SpectrumError, match="run grid extends beyond data range"):
+            load_data(str(p), grid)
+
+    @pytest.mark.parametrize("row", ["0.004 nan", "0.004 inf", "nan 0.1", "-0.1 0.1"])
+    def test_bad_row_below_grid_names_line(self, tmp_path, row):
+        p = tmp_path / "chi.dat"
+        rng = np.random.default_rng(0)
+        k = np.sort(rng.uniform(0.01, 14.0, 300))
+        p.write_text("# k chi\n" + row + "\n" + "\n".join(f"{a},{3*a}" for a in k))
+        with pytest.raises(SpectrumError, match=rf"{re.escape(str(p))}:2: "):
+            load_data(str(p), KGrid(0.5, 12.5, 0.05))
 
 
 class TestMainSynth:

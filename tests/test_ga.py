@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exafsga import ga
 from exafsga.fitness import FitnessConfig
 from exafsga.ga import (
     Chromosome,
@@ -372,6 +373,18 @@ class TestRunGA:
         cfg = GAConfig(population_size=200, max_generations=50, rng_seed=3, patience=50)
         result = run_ga(fx.data, fx.paths, cfg, fx.fitness, specs)
         assert result.best_fitness < 1e-6
+
+    @pytest.mark.parametrize("gene", ["s02_1", "sigma2_0"])
+    def test_negative_bound_rejected_before_the_objective(self, monkeypatch, gene):
+        fx = FitFixture(n_paths=2)
+        specs = [GeneSpec(s.name, -1.0, -0.5, 0.005) if s.name == gene else s for s in SPECS]
+
+        def never_built(*args):
+            raise AssertionError("objective built")
+
+        monkeypatch.setattr(ga, "SpectrumObjective", never_built)
+        with pytest.raises(GAError, match=rf"{gene}: lower bound -1.0 admits a negative"):
+            run_ga(fx.data, fx.paths, GAConfig(), fx.fitness, specs)
 
     def test_stagnation_exit(self):
         cfg = GAConfig(
