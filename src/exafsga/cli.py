@@ -22,9 +22,10 @@ from .analysis import (
 from .fitness import FitnessConfig
 from .ga import Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
 from .model import PathParams, evaluate_model
-from .paths import PathSet, load_manifest, synth_path
+from .paths import PathParseError, PathSet, load_manifest, synth_path
 from .spectra import (
-    FTConfig, KGrid, KSpectrum, atomic_write, load_data, transform_k_to_r, write_chi_file,
+    FTConfig, KGrid, KSpectrum, SpectrumError, TransformConfigError, atomic_write,
+    check_k_range, load_data, transform_k_to_r, write_chi_file,
 )
 
 MODES = ("fit", "cutoff-sweep", "error-analysis", "synth", "benchmark")
@@ -32,6 +33,10 @@ MODES = ("fit", "cutoff-sweep", "error-analysis", "synth", "benchmark")
 
 class ConfigError(ValueError):
     """Bad or incomplete run configuration."""
+
+
+class InputError(ValueError):
+    """A chi(k) or path file whose content is malformed."""
 
 
 @dataclass
@@ -189,6 +194,10 @@ def parse_config(path: str) -> RunConfig:
         kwargs[field] = (kwargs[field], value) if field in kwargs else value
     grid = KGrid(**fields["grid"])
     fitness = FitnessConfig(ft=FTConfig(**fields["ft"]), **fields["fitness"])
+    try:
+        check_k_range(fitness.ft, grid)
+    except TransformConfigError as exc:
+        raise ConfigError(f"[ft] {exc}") from None
 
     cfg = RunConfig(
         mode=mode,
@@ -239,7 +248,10 @@ def parse_config(path: str) -> RunConfig:
 
 def build_paths(cfg: RunConfig) -> PathSet:
     if cfg.path_manifest:
-        return load_manifest(cfg.path_manifest)
+        try:
+            return load_manifest(cfg.path_manifest)
+        except PathParseError as exc:
+            raise InputError(str(exc)) from exc
     if cfg.synth_paths:
         return PathSet(
             paths=tuple(
@@ -268,7 +280,11 @@ def load_inputs(cfg: RunConfig) -> tuple[PathSet, KSpectrum, list[GeneSpec]]:
     paths = build_paths(cfg)
     if not cfg.data_file:
         raise ConfigError(f"{cfg.mode} mode requires data_file")
-    return paths, load_data(cfg.data_file, cfg.grid), gene_specs(cfg, len(paths))
+    try:
+        data = load_data(cfg.data_file, cfg.grid)
+    except SpectrumError as exc:
+        raise InputError(str(exc)) from exc
+    return paths, data, gene_specs(cfg, len(paths))
 
 
 def _write_lines(out: str, name: str, lines) -> str:
@@ -473,6 +489,9 @@ def main(argv=None) -> int:
         files = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"{type(exc).__module__}.{type(exc).__name__}: {exc}", file=sys.stderr)

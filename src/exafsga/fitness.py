@@ -8,7 +8,9 @@ import numpy as np
 
 from .model import ModelEvaluator
 from .paths import PathSet
-from .spectra import FTConfig, KSpectrum, transform_k_to_r, transform_support
+from .spectra import (
+    FTConfig, KSpectrum, TransformConfigError, check_k_range, k_to_r_map, transform_k_to_r,
+)
 
 
 class FitnessError(ValueError):
@@ -96,13 +98,22 @@ class SpectrumObjective:
 
     Caches the data-side comparison vectors; evaluation excludes grid points
     invalidated by the energy shift (K-space) and transforms both spectra
-    before comparing magnitudes over r_range (R-space).
+    before comparing magnitudes over r_range (R-space).  The fit k_range
+    must lie on the data's grid (FitnessError otherwise).
 
     The model is evaluated only at the points these comparisons read: the
-    fit k_range and the support of the k->r transform (transform_support),
+    fit k_range and the support of the k->r transform (KToRMap.support),
     in every space, since report() reads both.  That is exact: K-space chi^2
     reads the same elements in the same order, and the model points left
     out meet only exact zeros of the transform matrix.
+
+    evaluate_genes, called once per gene vector, applies the cached k->r map
+    (spectra.k_to_r_map) to the model chi the evaluator has just made,
+    without the checks and copy of a KSpectrum; while the energy shift leaves
+    the whole fit range valid, its K-space terms read precomputed slices.
+    Both give the numbers of the spectrum-level composition bit for bit.
+    The data transform and report() go through transform_k_to_r, which
+    validates its spectrum.
     """
 
     def __init__(self, data: KSpectrum, paths: PathSet, config: FitnessConfig):
@@ -110,32 +121,42 @@ class SpectrumObjective:
         self.paths = paths
         self.config = config
         self.grid = data.grid
+        try:
+            check_k_range(config.ft, self.grid)
+        except TransformConfigError as exc:
+            raise FitnessError(f"fit {exc}") from None
         k = self.grid.ks
         lo, hi = config.ft.k_range
         self._k_mask = (k >= lo) & (k <= hi)
         if not np.any(self._k_mask):
             raise FitnessError("fit k_range contains no data samples")
+        # The fit range is contiguous on the ascending grid.
+        fit = np.flatnonzero(self._k_mask)
+        self._fit = slice(fit[0], fit[-1] + 1)
         self._kw = k**config.k_weight
         self._kw_data = self._kw * data.chi
+        self._kw_fit = self._kw[self._fit]
+        self._kw_data_fit = self._kw_data[self._fit]
         self._data_r = transform_k_to_r(data, config.ft).magnitude
-        points = self._k_mask | transform_support(self.grid, config.ft)
+        self._to_r = k_to_r_map(self.grid, config.ft)
+        points = self._k_mask | self._to_r.support
         self._evaluator = ModelEvaluator(paths, self.grid, points=points)
 
     def evaluate_genes(self, genes: np.ndarray) -> float:
         chi, valid = self._evaluator.evaluate_genes(genes)
         total = 0.0
         if self.config.space in ("K", "K+R"):
-            m = self._k_mask & valid
-            total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
+            if valid[self._fit.start]:
+                # valid is a suffix of the grid (shift_k), so the whole fit
+                # range is valid.
+                total += chi2(self._kw_fit * chi[self._fit], self._kw_data_fit, self.config)
+            else:
+                m = self._k_mask & valid
+                total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
         if self.config.space in ("R", "K+R"):
-            total += chi2(self._r_magnitude(chi), self._data_r, self.config)
+            # The evaluator writes an exact 0 at the points the shift invalidates.
+            total += chi2(np.abs(self._to_r(chi)), self._data_r, self.config)
         return total
-
-    def _r_magnitude(self, chi: np.ndarray) -> np.ndarray:
-        """|chi(r)| of a model chi, which the evaluator already zeroes at the
-        points the energy shift invalidates."""
-        spec = KSpectrum(grid=self.grid, chi=chi)
-        return transform_k_to_r(spec, self.config.ft).magnitude
 
     def report(self, genes) -> tuple[dict, dict]:
         """(metrics_k, metrics_r) of a gene vector's model, its path rows summed
@@ -152,7 +173,8 @@ class SpectrumObjective:
         except FitnessError:
             pass
         try:
-            metrics_r = metrics(self._r_magnitude(chi), self._data_r)
+            model_r = transform_k_to_r(KSpectrum(grid=self.grid, chi=chi), self.config.ft)
+            metrics_r = metrics(model_r.magnitude, self._data_r)
         except FitnessError:
             pass
         return metrics_k, metrics_r

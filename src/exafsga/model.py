@@ -41,7 +41,10 @@ def shift_k(grid: KGrid, delta_e0: float) -> tuple[np.ndarray, np.ndarray]:
 
     k' = sqrt(max(k^2 - c*delta_e0, 0)) with c = 2m/hbar^2 in eV^-1 A^-2.
     Returns (k_shifted, valid) where points driven to k' <= 0 are invalid
-    and must be excluded from evaluation and fitness.
+    and must be excluded from evaluation and fitness.  The grid ascends from
+    k >= 0, so k_shifted is nondecreasing and valid is a suffix of the grid:
+    the first valid point holds the smallest valid k' and the last point the
+    largest.
     """
     radicand = grid.ks**2 - EV_TO_KSQ * delta_e0
     valid = radicand > 0
@@ -115,6 +118,9 @@ class ModelEvaluator:
         self.r_eff = np.array([p.r_eff for p in paths])
         self._kt_lo = np.array([p.k_theory[0] for p in paths])
         self._kt_hi = np.array([p.k_theory[-1] for p in paths])
+        # The theory range each path admits for shifted k, with 1e-9 slack.
+        self._kp_min = self._kt_lo - 1e-9
+        self._kp_max = self._kt_hi + 1e-9
         by_grid: dict[bytes, list[int]] = {}
         for i, p in enumerate(paths):
             by_grid.setdefault(p.k_theory.tobytes(), []).append(i)
@@ -142,9 +148,11 @@ class ModelEvaluator:
         if hit is not None:
             return hit
         kp, valid = shift_k(self.grid, delta_e0)
-        if valid.any():
-            lo, hi = kp[valid].min(), kp[valid].max()
-            bad = (lo < self._kt_lo - 1e-9) | (hi > self._kt_hi + 1e-9)
+        if valid[-1]:
+            # valid is a suffix and kp nondecreasing (shift_k): the ends of
+            # the valid part are its smallest and largest shifted k.
+            lo, hi = kp[valid.argmax()], kp[-1]
+            bad = (lo < self._kp_min) | (hi > self._kp_max)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ModelError(

@@ -216,11 +216,18 @@ def serialize_feff_path(path: ScatteringPath, nleg: int = 2) -> str:
 
 
 def load_path_file(path, label: str | None = None) -> ScatteringPath:
+    """Parse a path file; a PathParseError names the file, and the line as
+    "<file>:<line>:" where parse_feff_path names one."""
     with open(path) as fh:
         content = fh.read()
     import os
 
-    return parse_feff_path(content, label=label or os.path.basename(str(path)))
+    try:
+        return parse_feff_path(content, label=label or os.path.basename(str(path)))
+    except PathParseError as exc:
+        msg = str(exc)
+        where = f"{path}:" if msg.startswith("line ") else f"{path}: "
+        raise PathParseError(where + msg.removeprefix("line ")) from None
 
 
 def load_manifest(manifest_path) -> PathSet:
@@ -248,13 +255,12 @@ def load_manifest(manifest_path) -> PathSet:
             first_line[fname] = lineno
             sp = load_path_file(os.path.join(base, fname), label=fname)
             if len(parts) > 1:
-                try:
-                    deg = float(parts[1])
+                try:  # float() and ScatteringPath's checks
+                    sp = replace(sp, degeneracy=float(parts[1]))
                 except ValueError:
                     raise PathParseError(
-                        f"{manifest_path}:{lineno}: bad degeneracy override"
+                        f"{manifest_path}:{lineno}: bad degeneracy override {parts[1]!r}"
                     ) from None
-                sp = replace(sp, degeneracy=deg)
             paths.append(sp)
     if not paths:
         raise PathParseError(f"{manifest_path}: empty manifest")

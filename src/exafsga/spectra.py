@@ -141,28 +141,57 @@ def window_weights(k: np.ndarray, config: FTConfig) -> np.ndarray:
     return w
 
 
+def check_k_range(config: FTConfig, grid: KGrid) -> None:
+    """Raise TransformConfigError, naming both ranges, unless config.k_range
+    lies on grid (within 1e-9)."""
+    lo, hi = config.k_range
+    if lo < grid.k_min - 1e-9 or hi > grid.k_max + 1e-9:
+        raise TransformConfigError(
+            f"k_range [{lo}, {hi}] extends beyond the grid [{grid.k_min}, {grid.k_max}]"
+        )
+
+
 def make_window(config: FTConfig, grid: KGrid) -> np.ndarray:
     """Window weights at the grid points."""
-    if config.k_range[0] < grid.k_min - 1e-9 or config.k_range[1] > grid.k_max + 1e-9:
-        raise TransformConfigError("k_range extends beyond the grid")
+    check_k_range(config, grid)
     return window_weights(grid.ks, config)
 
 
-@lru_cache(maxsize=16)
-def _transform_matrix(
-    grid: KGrid, config: FTConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, support, A) with chi(r) = M @ chi(k) computed as A @ chi(k)[support],
-    for every spectrum on grid.
+class KToRMap:
+    """The k->r transform of one (KGrid, FTConfig) as a linear map on chi(k)
+    arrays: chi(r) = M @ chi(k), applied as A @ chi(k)[support].
 
     The complex matrix M folds the linear interpolation of chi onto
     n*delta_k (0 outside the grid), the window, k^w, the
     i*delta_k/sqrt(pi*n_fft) factor and the DFT rows of the r-points inside
-    r_range.  support marks the columns of M holding a nonzero entry.  A is
-    real, of shape (2*n_r, n_support): rows 2m and 2m+1 hold Re M[m] and
-    Im M[m] on the support's columns, so chi is never cast to complex and
-    the product's memory already is chi(r) as complex numbers.
+    r_range.  support marks the columns of M holding a nonzero entry: the
+    grid points the transform reads, chi elsewhere having no effect.  The
+    matrix A is real, of shape (2*n_r, n_support): rows 2m and 2m+1 hold
+    Re M[m] and Im M[m] on the support's columns, so chi is never cast to
+    complex and the product's memory already is chi(r) as complex numbers.
+    r, support and A are read-only.
     """
+
+    __slots__ = ("r", "support", "matrix")
+
+    def __init__(self, r: np.ndarray, support: np.ndarray, matrix: np.ndarray):
+        self.r, self.support, self.matrix = r, support, matrix
+
+    def __call__(self, chi: np.ndarray) -> np.ndarray:
+        """Complex chi(r) on self.r of a float chi(k) array on the map's grid.
+
+        Nothing is checked: a chi of the wrong length raises IndexError, and a
+        non-finite chi gives a non-finite chi(r).  transform_k_to_r is the
+        checked, spectrum-level call."""
+        return (self.matrix @ chi[self.support]).view(np.complex128)
+
+
+@lru_cache(maxsize=16)
+def k_to_r_map(grid: KGrid, config: FTConfig) -> KToRMap:
+    """The KToRMap of (grid, config), built once and cached (16 entries).
+
+    A caller that transforms many chi(k) arrays on one grid, such as a
+    fitness objective, binds the map once and calls it on each array."""
     k = grid.ks
     in_range = (k >= config.k_range[0]) & (k <= config.k_range[1])
     n_in = int(np.count_nonzero(in_range))
@@ -196,7 +225,7 @@ def _transform_matrix(
     real = real.reshape(2 * r.size, np.count_nonzero(support))
     for a in (r, support, real):
         a.setflags(write=False)
-    return r, support, real
+    return KToRMap(r, support, real)
 
 
 def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
@@ -207,25 +236,23 @@ def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
     n*delta_k (0 outside k_range and the grid), r_m = m*pi/(n_fft*delta_k),
     and the output cropped to r_range.
 
-    The sum is applied as one cached real (2*n_r, n_support) matrix to chi
-    on transform_support, so a call costs O(n_r * n_support) instead of an
-    FFT's O(n_fft log n_fft), after 5-33 ms to build the matrix once per
-    (grid, config).  It wins while r_range and the grid are short: with
-    n_fft = 2048 on a 0.05 A^-1 grid over 0.5-13 A^-1 and k_range 2.5-12.5,
-    17-20 us per call against the FFT's 108-125 us at r <= 6 A and 27-32
-    against 137-153 us at r <= 10 A; on a 0.025 A^-1 grid at r <= 31 A it
-    takes 143-157 us against 122-144 us (single-threaded BLAS on an Intel
-    Xeon core, range over three runs).
+    The sum is applied as the cached k_to_r_map of (spec.grid, config), one
+    real (2*n_r, n_support) matrix times chi on its support, so a call
+    costs O(n_r * n_support) instead of an FFT's O(n_fft log n_fft), after
+    5-33 ms to build the matrix once per (grid, config).  It wins while
+    r_range and the grid are short: with n_fft = 2048 on a 0.05 A^-1 grid
+    over 0.5-13 A^-1 and k_range 2.5-12.5, 17-20 us per call against the
+    FFT's 108-125 us at r <= 6 A and 27-32 against 137-153 us at r <= 10 A;
+    on a 0.025 A^-1 grid at r <= 31 A it takes 143-157 us against 122-144 us
+    (single-threaded BLAS on an Intel Xeon core, range over three runs).
+
+    This is the spectrum-level call: spec was checked when it was built.
+    A per-row caller that has just made a finite chi on the grid, as
+    SpectrumObjective.evaluate_genes has, calls the map itself and gets the
+    same numbers without the KSpectrum and RSpectrum around them.
     """
-    r, support, real = _transform_matrix(spec.grid, config)
-    return RSpectrum(r=r, chi_r=(real @ spec.chi[support]).view(np.complex128))
-
-
-def transform_support(grid: KGrid, config: FTConfig) -> np.ndarray:
-    """Boolean mask of the grid points transform_k_to_r reads: the columns of
-    its matrix holding a nonzero entry.  chi outside the mask has no effect
-    on chi(r)."""
-    return _transform_matrix(grid, config)[1]
+    to_r = k_to_r_map(spec.grid, config)
+    return RSpectrum(r=to_r.r, chi_r=to_r(spec.chi))
 
 
 def resample_onto(spec: KSpectrum, grid: KGrid) -> KSpectrum:

@@ -12,6 +12,7 @@ from exafsga.cli import (
     main,
     parse_config,
 )
+from exafsga.paths import serialize_feff_path, synth_path
 from exafsga.spectra import KGrid, SpectrumError
 
 
@@ -146,6 +147,16 @@ class TestParseConfig:
         # [synth_paths] keys are path labels, not settings.
         cfg = write_config(tmp_path, "[run]\nmode = synth\n\n[synth_paths]\nany_label = 2.3 6 1\n")
         assert parse_config(cfg).synth_paths == [("any_label", 2.3, 6.0, 1.0)]
+
+    @pytest.mark.parametrize("ft, fit_range", [("k_max_fit = 20", "2.5, 20.0"),
+                                                ("k_min_fit = 0.1", "0.1, 12.0")])
+    def test_fit_range_beyond_grid_rejected(self, tmp_path, capsys, ft, fit_range):
+        cfg = write_config(tmp_path, f"[run]\nmode = fit\n\n[ft]\n{ft}\n")
+        message = f"[ft] k_range [{fit_range}] extends beyond the grid [0.5, 12.5]"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(cfg)
+        assert main(["fit", "--config", cfg]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_synth_lists_length_mismatch(self, tmp_path):
         cfg = write_config(
@@ -315,6 +326,35 @@ class TestMainErrors:
             tmp_path, FIT_CONFIG.format(out=out, data=tmp_path / "missing.dat")
         )
         assert main(["fit", "--config", cfg]) == 1
+
+
+class TestMainInputErrors:
+    """A malformed chi(k) or path file exits 2 naming the file and line."""
+
+    def test_non_finite_data_value(self, tmp_path, capsys):
+        data = tmp_path / "bad.dat"
+        data.write_text("# k chi\n0.4 nan\n" + "".join(f"{k} 0.1\n" for k in range(1, 15)))
+        cfg = write_config(tmp_path, FIT_CONFIG.format(out=tmp_path / "out", data=data))
+        assert main(["fit", "--config", cfg]) == 2
+        assert f"input error: {data}:2: non-finite value" in capsys.readouterr().err
+
+    def test_malformed_path_file(self, tmp_path, capsys):
+        grid = KGrid(0.5, 12.5, 0.05)
+        lines = serialize_feff_path(synth_path(2.3, 6, grid, label="shell1")).splitlines()
+        bad = len(lines) - 3  # a data row, numbered from 1
+        lines[bad - 1] = lines[bad - 1].replace(lines[bad - 1].split()[2], "x")
+        (tmp_path / "shell1.dat").write_text("\n".join(lines) + "\n")
+        (tmp_path / "paths.manifest").write_text("shell1.dat\n")
+        cfg = write_config(tmp_path, f"""
+            [run]
+            mode = fit
+            output_dir = {tmp_path / "out"}
+            data_file = {run_synth(tmp_path)}
+            path_manifest = {tmp_path / "paths.manifest"}
+            """)
+        assert main(["fit", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {tmp_path / 'shell1.dat'}:{bad}: non-numeric value" in err
 
 
 class TestMainCutoffSweep:

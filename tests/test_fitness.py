@@ -12,16 +12,16 @@ from exafsga.fitness import (
     estimate_epsilon,
     metrics,
 )
-from exafsga.ga import Chromosome, GeneCodec, default_gene_specs
-from exafsga.model import ModelError, ModelEvaluator, PathParams, evaluate_model
-from exafsga.paths import PathSet, synth_path
+from exafsga.ga import Chromosome, GAConfig, GAError, GeneCodec, default_gene_specs, evolve
+from exafsga.model import ModelError, ModelEvaluator, PathParams, evaluate_model, shift_k
+from exafsga.paths import PathSet, ScatteringPath, synth_path
 from exafsga.spectra import (
     EV_TO_KSQ,
     FTConfig,
     KGrid,
     KSpectrum,
+    k_to_r_map,
     transform_k_to_r,
-    transform_support,
 )
 from test_spectra import direct_transform
 
@@ -195,7 +195,7 @@ class TestRestrictedEvaluation:
     def test_support_reaches_outside_the_fit_range(self):
         k = self.GRID.ks
         k_mask = (k >= self.FT.k_range[0]) & (k <= self.FT.k_range[1])
-        outside = transform_support(self.GRID, self.FT) & ~k_mask
+        outside = k_to_r_map(self.GRID, self.FT).support & ~k_mask
         assert np.count_nonzero(outside) == 2
 
     @pytest.mark.parametrize("sill", [0.0, 1.0])
@@ -236,7 +236,7 @@ class TestRestrictedEvaluation:
         ft = FTConfig(k_range=(2.0, 11.0))
         obj = SpectrumObjective(data, paths, FitnessConfig(ft=ft))
         k = grid.ks
-        points = ((k >= 2.0) & (k <= 11.0)) | transform_support(grid, ft)
+        points = ((k >= 2.0) & (k <= 11.0)) | k_to_r_map(grid, ft).support
         genes = np.array([-10.0, 0.7, 0.004, 0.0])
         assert not points[-1]
         assert np.sqrt(k[points][-1] ** 2 + 10.0 * EV_TO_KSQ) < paths.paths[0].k_theory[-1]
@@ -244,3 +244,92 @@ class TestRestrictedEvaluation:
             ModelEvaluator(paths, grid).evaluate_genes(genes)
         with pytest.raises(ModelError, match="theory range"):
             obj.evaluate_genes(genes)
+
+
+class TestPerRowPath:
+    """evaluate_genes applies the cached k->r map to the evaluator's chi and,
+    while the energy shift leaves the fit range valid, reads that range
+    through precomputed slices; it equals the spectrum-level composition of
+    chi2, KSpectrum and transform_k_to_r bit for bit."""
+
+    GRID = KGrid(0.5, 12.5, 0.05)
+    FT = FTConfig(k_range=(2.0, 11.0))
+    SHIFT_PAST_FIT_START = 20.0  # eV: k' <= 0 below k = 2.29, inside the fit range
+    SHIFT_PAST_FIT_END = 500.0  # eV: k' <= 0 below k = 11.46, past the fit range
+
+    def make(self, space, fit_paths=None):
+        """Objective on noisy three-path data, fitting fit_paths (default:
+        the data's own paths)."""
+        grid = self.GRID
+        paths = PathSet(
+            paths=tuple(synth_path(2.2 + 0.6 * i, 6, grid, label=f"p{i}") for i in range(3))
+        )
+        truth = np.concatenate([[-0.4], [0.7, 0.004, 0.01] * 3])
+        rng = np.random.default_rng(5)
+        chi = ModelEvaluator(paths, grid).evaluate_genes(truth)[0]
+        data = KSpectrum(grid, chi + rng.normal(0.0, 0.01, grid.n_points))
+        cfg = FitnessConfig(ft=self.FT, space=space)
+        return SpectrumObjective(data, fit_paths or paths, cfg), rng
+
+    def composed(self, obj, genes):
+        chi, valid = ModelEvaluator(obj.paths, obj.grid).evaluate_genes(genes)
+        k = obj.grid.ks
+        kw = k**obj.config.k_weight
+        m = (k >= self.FT.k_range[0]) & (k <= self.FT.k_range[1]) & valid
+        total = 0.0
+        if obj.config.space in ("K", "K+R"):
+            total += chi2(kw[m] * chi[m], kw[m] * obj.data.chi[m], obj.config)
+        if obj.config.space in ("R", "K+R"):
+            model_r = transform_k_to_r(KSpectrum(obj.grid, chi), self.FT).magnitude
+            data_r = transform_k_to_r(obj.data, self.FT).magnitude
+            total += chi2(model_r, data_r, obj.config)
+        return total
+
+    @pytest.mark.parametrize("space", ["K", "R", "K+R"])
+    def test_equals_spectrum_level_composition(self, space):
+        obj, rng = self.make(space)
+        codec = GeneCodec(default_gene_specs(3, e0_bounds=(-20.0, 20.0, 0.01)))
+        rows = codec.random(rng, 40)
+        rows[0, 0] = self.SHIFT_PAST_FIT_START
+        _, valid = shift_k(self.GRID, rows[0, 0])
+        fit = (self.GRID.ks >= 2.0) & (self.GRID.ks <= 11.0)
+        assert valid[fit].any() and not valid[fit].all()  # the fallback path
+        for genes in rows:
+            assert obj.evaluate_genes(genes) == self.composed(obj, genes)
+
+    @pytest.mark.parametrize("space", ["K", "K+R"])
+    def test_fit_range_all_invalid_names_generation_and_individual(self, space):
+        obj, _ = self.make(space)
+        e0 = (self.SHIFT_PAST_FIT_END, self.SHIFT_PAST_FIT_END + 1.0, 0.5)
+        specs = default_gene_specs(3, e0_bounds=e0)
+        cfg = GAConfig(population_size=10, max_generations=2, rng_seed=0)
+        with pytest.raises(GAError, match=r"generation \d+, individual \d+: zero-length fit range"):
+            evolve(obj.evaluate_genes, specs, cfg)
+
+    def test_non_finite_r_space_model_fails_the_fitness_check(self):
+        # deg * F / k overflows, so the model chi is non-finite; its chi(r)
+        # and chi^2 are too, and evolve rejects the fitness.
+        kt = np.arange(0.0, 15.0, 0.05)
+        huge = ScatteringPath(
+            label="huge", degeneracy=12.0, r_eff=2.5, k_theory=kt,
+            f_eff=np.full_like(kt, 1e308), phase_scatter=np.zeros_like(kt),
+            phase_central=np.zeros_like(kt), lam=np.full_like(kt, 10.0),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj, _ = self.make("R", PathSet(paths=(huge,)))
+            specs = default_gene_specs(1, e0_bounds=(-1.0, 1.0, 0.01))
+            cfg = GAConfig(population_size=10, max_generations=2, rng_seed=0)
+            with pytest.raises(GAError, match=r"fitness [-a-z]+ at generation \d+, individual 0"):
+                evolve(obj.evaluate_genes, specs, cfg)
+
+
+class TestFitRangeOnGrid:
+    @pytest.mark.parametrize("k_range", [(2.0, 20.0), (0.1, 11.0)])
+    def test_k_range_beyond_grid_rejected(self, k_range):
+        grid = KGrid(0.5, 12.5, 0.05)
+        paths = PathSet(paths=(synth_path(2.5, 6, grid, label="p"),))
+        data = KSpectrum(grid, np.zeros(grid.n_points))
+        cfg = FitnessConfig(ft=FTConfig(k_range=k_range))
+        expected = rf"k_range \[{k_range[0]}, {k_range[1]}\] extends beyond the grid \[0.5, 12.5\]"
+        with pytest.raises(FitnessError, match=expected):
+            SpectrumObjective(data, paths, cfg)

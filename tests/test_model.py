@@ -326,6 +326,54 @@ class TestTables:
             ModelEvaluator(ps, grid).evaluate_genes(genes)
 
 
+class TestTheoryRange:
+    """The theory-range check reads the ends of the valid shifted grid and
+    names the first bad path with the smallest and largest valid k'."""
+
+    @staticmethod
+    def expected_message(ps, grid, delta_e0):
+        kp, valid = shift_k(grid, delta_e0)
+        lo, hi = kp[valid].min(), kp[valid].max()
+        for p in ps:
+            kt_lo, kt_hi = p.k_theory[0], p.k_theory[-1]
+            if lo < kt_lo - 1e-9 or hi > kt_hi + 1e-9:
+                return (f"path {p.label}: shifted k in [{lo:.3f}, {hi:.3f}]"
+                        f" outside theory range [{kt_lo:.3f}, {kt_hi:.3f}]")
+        raise AssertionError("no path out of range")
+
+    @pytest.mark.parametrize(
+        "k_min, delta_e0",
+        [
+            (3.0, -30.0),  # past the high end: two bad paths, the first is named
+            (3.0, 34.0),  # past the low end, every point valid
+            (0.5, 5.0),  # past the low end, the grid's first points invalid
+        ],
+    )
+    def test_message_names_first_bad_path_and_valid_range(self, k_min, delta_e0):
+        grid = KGrid(k_min, 12.0, 0.05)
+        ps = PathSet(
+            paths=(
+                theory_path("wide", np.arange(0.0, 16.0, 0.05), 0),
+                theory_path("tight_lo", np.arange(0.3, 16.0, 0.05), 1),
+                theory_path("tight_hi", np.arange(0.0, 12.3, 0.05), 2),
+                theory_path("tighter_hi", np.arange(0.0, 12.1, 0.05), 3),
+            )
+        )
+        expected = self.expected_message(ps, grid, delta_e0)
+        genes = np.concatenate([[delta_e0], [0.8, 0.001, 0.0] * 4])
+        with pytest.raises(ModelError) as info:
+            ModelEvaluator(ps, grid).evaluate_genes(genes)
+        assert str(info.value) == expected
+
+    def test_every_point_invalid_is_not_checked(self):
+        # k'^2 <= 0 on the whole grid: no shifted k to check, the model is 0.
+        grid = KGrid(0.5, 12.0, 0.05)
+        ps = PathSet(paths=(theory_path("tight_lo", np.arange(2.0, 16.0, 0.05), 0),))
+        delta_e0 = 12.0**2 / EV_TO_KSQ + 1.0
+        chi, valid = ModelEvaluator(ps, grid).evaluate_genes([delta_e0, 0.8, 0.001, 0.0])
+        assert not valid.any() and not chi.any()
+
+
 class TestPoints:
     def test_model_is_zero_outside_points_and_equal_inside(self):
         grid = KGrid(0.5, 12.0, 0.05)

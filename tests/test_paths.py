@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,15 @@ class TestManifest:
         assert len(ps) == 2
         assert ps.paths[0].degeneracy == pytest.approx(12.0)
         assert ps.paths[1].degeneracy == pytest.approx(48.0)
+
+    @pytest.mark.parametrize("override", ["many", "nan", "-3", "0"])
+    def test_bad_override_names_manifest_line(self, tmp_path, override):
+        grid = KGrid(0.5, 10.0, 0.1)
+        (tmp_path / "feff0000.dat").write_text(serialize_feff_path(synth_path(2.5, 12, grid)))
+        manifest = tmp_path / "paths.txt"
+        manifest.write_text(f"# comment\nfeff0000.dat {override}\n")
+        with pytest.raises(PathParseError, match=rf"{re.escape(str(manifest))}:2: bad degeneracy"):
+            load_manifest(manifest)
 
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "paths.txt"

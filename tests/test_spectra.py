@@ -9,11 +9,11 @@ from exafsga.spectra import (
     KSpectrum,
     SpectrumError,
     TransformConfigError,
+    k_to_r_map,
     make_window,
     read_chi_file,
     resample_onto,
     transform_k_to_r,
-    transform_support,
     window_weights,
     write_chi_file,
 )
@@ -147,7 +147,7 @@ class TestTransform:
     def test_chi_outside_support_transforms_to_zero(self):
         grid = KGrid(k_min=0.5, k_max=6.0, delta_k=0.1)
         cfg = FTConfig(k_range=(1.0, 5.5), n_fft=64, window_sill=0.5, r_range=(0, 20))
-        support = transform_support(grid, cfg)
+        support = k_to_r_map(grid, cfg).support
         assert 0 < np.count_nonzero(support) < grid.n_points
         chi = np.where(support, 0.0, np.random.default_rng(5).normal(size=grid.n_points))
         out = transform_k_to_r(KSpectrum(grid=grid, chi=chi), cfg)
@@ -158,11 +158,23 @@ class TestTransform:
         # transform, by the product and by the direct sum alike.
         grid = KGrid(k_min=0.5, k_max=6.0, delta_k=0.1)
         cfg = FTConfig(k_range=(1.0, 5.5), n_fft=64, window_sill=0.5, r_range=(0, 20))
-        support = transform_support(grid, cfg)
+        support = k_to_r_map(grid, cfg).support
         for j in range(grid.n_points):
             unit = KSpectrum(grid=grid, chi=np.eye(grid.n_points)[j])
             assert np.any(transform_k_to_r(unit, cfg).chi_r != 0) == support[j]
             assert np.any(direct_transform(unit, cfg)[1] != 0) == support[j]
+
+    def test_map_is_the_unchecked_transform(self, grid):
+        cfg = FTConfig(k_range=(2.0, 12.0), n_fft=512)
+        to_r = k_to_r_map(grid, cfg)
+        chi = np.random.default_rng(4).normal(size=grid.n_points)
+        out = transform_k_to_r(KSpectrum(grid=grid, chi=chi), cfg)
+        assert np.array_equal(to_r.r, out.r) and np.array_equal(to_r(chi), out.chi_r)
+        assert to_r is k_to_r_map(grid, cfg)
+        chi[to_r.support.argmax()] = np.nan
+        assert not np.all(np.isfinite(to_r(chi)))
+        with pytest.raises(SpectrumError, match="non-finite"):
+            transform_k_to_r(KSpectrum(grid=grid, chi=chi), cfg)
 
     def test_linearity(self, grid):
         rng = np.random.default_rng(3)
