@@ -16,7 +16,7 @@ from .analysis import (
     error_analysis,
     synth_generate,
 )
-from .fitness import FitnessConfig, SpectrumObjective, chi2, estimate_epsilon, metrics
+from .fitness import FitnessConfig, SpectrumObjective, chi2, metrics
 from .ga import (
     Chromosome,
     FitResult,
@@ -42,7 +42,6 @@ from .spectra import (
     KGrid,
     KSpectrum,
     RSpectrum,
-    make_window,
     resample_onto,
     transform_k_to_r,
 )
@@ -70,12 +69,10 @@ __all__ = [
     "cutoff_sweep",
     "default_gene_specs",
     "error_analysis",
-    "estimate_epsilon",
     "evaluate_model",
     "evolve",
     "load_manifest",
     "load_path_file",
-    "make_window",
     "metrics",
     "parse_feff_path",
     "path_contribution",

@@ -124,7 +124,6 @@ SETTINGS = (
     ("ft", "r_min", "r_range", float, 0.0),
     ("ft", "r_max", "r_range", float, 6.0),
     ("ft", "k_weight", "k_weight", int, 2),
-    ("ft", "window", "window", str, "hanning"),
     ("ft", "window_sill", "window_sill", float, 1.0),
     ("ft", "n_fft", "n_fft", int, 2048),
     ("fitness", "space", "space", str, "K"),

@@ -34,6 +34,8 @@ class FitnessConfig:
     k_weight: int = 2
 
     def __post_init__(self):
+        if self.k_weight not in (0, 1, 2, 3):
+            raise FitnessError(f"k_weight must be in 0..3, got {self.k_weight}")
         if self.space not in ("K", "R", "K+R"):
             raise FitnessError(f"space must be K, R, or K+R, got {self.space!r}")
         if self.n_indep is not None and self.n_indep <= 0:
@@ -82,38 +84,26 @@ def metrics(model: np.ndarray, data: np.ndarray) -> dict[str, float]:
     }
 
 
-def estimate_epsilon(spec: KSpectrum, tail_fraction: float = 0.15) -> float:
-    """Scalar noise estimate: std of k^3 chi(k) over the top tail of the k-range."""
-    k = spec.grid.ks
-    cut = k.min() + (1.0 - tail_fraction) * (k.max() - k.min())
-    tail = k >= cut
-    if np.count_nonzero(tail) < 2:
-        raise FitnessError("too few points in the tail for epsilon estimation")
-    return float(np.std(k[tail] ** 3 * spec.chi[tail]))
-
-
 class SpectrumObjective:
     """Chi^2 objective comparing the model of a gene vector
     [delta_e0, (s02, sigma2, delta_r) per path] to data.
 
-    Caches the data-side comparison vectors; evaluation excludes grid points
-    invalidated by the energy shift (K-space) and transforms both spectra
-    before comparing magnitudes over r_range (R-space).  The fit k_range
-    must lie on the data's grid (FitnessError otherwise).
+    Caches the data-side comparison vectors; K-space terms read the fit
+    range from the evaluator's first valid index on, and R-space terms
+    transform both spectra before comparing magnitudes over r_range.  The
+    fit k_range must lie on the data's grid (FitnessError otherwise).
 
-    The model is evaluated only at the points these comparisons read: the
-    fit k_range and the support of the k->r transform (KToRMap.support),
-    in every space, since report() reads both.  That is exact: K-space chi^2
-    reads the same elements in the same order, and the model points left
-    out meet only exact zeros of the transform matrix.
+    The model is evaluated only on the slice of the grid these comparisons
+    read: the hull of the fit k_range and the support of the k->r transform
+    (KToRMap.support), in every space, since report() reads both.  That is
+    exact: K-space chi^2 reads the same elements in the same order, and the
+    model points left out meet only exact zeros of the transform matrix.
 
     evaluate_genes, called once per gene vector, applies the cached k->r map
     (spectra.k_to_r_map) to the model chi the evaluator has just made,
-    without the checks and copy of a KSpectrum; while the energy shift leaves
-    the whole fit range valid, its K-space terms read precomputed slices.
-    Both give the numbers of the spectrum-level composition bit for bit.
-    The data transform and report() go through transform_k_to_r, which
-    validates its spectrum.
+    without the checks and copy of a KSpectrum, and gives the numbers of
+    the spectrum-level composition bit for bit.  The data transform and
+    report() go through transform_k_to_r, which validates its spectrum.
     """
 
     def __init__(self, data: KSpectrum, paths: PathSet, config: FitnessConfig):
@@ -126,33 +116,25 @@ class SpectrumObjective:
         except TransformConfigError as exc:
             raise FitnessError(f"fit {exc}") from None
         k = self.grid.ks
-        lo, hi = config.ft.k_range
-        self._k_mask = (k >= lo) & (k <= hi)
-        if not np.any(self._k_mask):
+        # Grid indices [_lo, _hi) of the fit range: the points with k in k_range.
+        self._lo = int(np.searchsorted(k, config.ft.k_range[0]))
+        self._hi = int(np.searchsorted(k, config.ft.k_range[1], side="right"))
+        if self._lo == self._hi:
             raise FitnessError("fit k_range contains no data samples")
-        # The fit range is contiguous on the ascending grid.
-        fit = np.flatnonzero(self._k_mask)
-        self._fit = slice(fit[0], fit[-1] + 1)
         self._kw = k**config.k_weight
         self._kw_data = self._kw * data.chi
-        self._kw_fit = self._kw[self._fit]
-        self._kw_data_fit = self._kw_data[self._fit]
         self._data_r = transform_k_to_r(data, config.ft).magnitude
         self._to_r = k_to_r_map(self.grid, config.ft)
-        points = self._k_mask | self._to_r.support
+        ends = np.r_[self._lo, self._hi - 1, np.flatnonzero(self._to_r.support)]
+        points = slice(int(ends.min()), int(ends.max()) + 1)
         self._evaluator = ModelEvaluator(paths, self.grid, points=points)
 
     def evaluate_genes(self, genes: np.ndarray) -> float:
-        chi, valid = self._evaluator.evaluate_genes(genes)
+        chi, first = self._evaluator.evaluate_genes(genes)
         total = 0.0
         if self.config.space in ("K", "K+R"):
-            if valid[self._fit.start]:
-                # valid is a suffix of the grid (shift_k), so the whole fit
-                # range is valid.
-                total += chi2(self._kw_fit * chi[self._fit], self._kw_data_fit, self.config)
-            else:
-                m = self._k_mask & valid
-                total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
+            m = slice(max(first, self._lo), self._hi)
+            total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
         if self.config.space in ("R", "K+R"):
             # The evaluator writes an exact 0 at the points the shift invalidates.
             total += chi2(np.abs(self._to_r(chi)), self._data_r, self.config)
@@ -163,9 +145,9 @@ class SpectrumObjective:
         as evaluate_model sums them: k-weighted over the fit range (unweighted
         under "unweighted"), and R-space magnitudes.  A comparison that is
         undefined (constant data) is left out."""
-        terms, valid = self._evaluator.evaluate_paths(genes)
+        terms, first = self._evaluator.evaluate_paths(genes)
         chi = terms.sum(axis=0)
-        m = self._k_mask & valid
+        m = slice(max(first, self._lo), self._hi)
         metrics_k, metrics_r = {}, {}
         try:
             metrics_k = metrics(self._kw[m] * chi[m], self._kw_data[m])

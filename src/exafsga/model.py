@@ -64,14 +64,15 @@ def path_contribution(
 
 def evaluate_model_masked(
     paths: PathSet, chromosome, grid: KGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Model chi(k) plus the validity mask from the energy shift.
+) -> tuple[np.ndarray, int]:
+    """Model chi(k) plus the index of its first valid point, as
+    ModelEvaluator.evaluate_genes returns them.
 
     `chromosome` provides .to_genes() (a flat gene vector, see
     ModelEvaluator.evaluate_genes).
     """
-    terms, valid = ModelEvaluator(paths, grid).evaluate_paths(chromosome.to_genes())
-    return terms.sum(axis=0), valid
+    terms, first = ModelEvaluator(paths, grid).evaluate_paths(chromosome.to_genes())
+    return terms.sum(axis=0), first
 
 
 def evaluate_model(paths: PathSet, chromosome, grid: KGrid) -> KSpectrum:
@@ -94,26 +95,24 @@ class ModelEvaluator:
     slope[j]*(k' - kt[j]) + fp[j], the formula np.interp uses, so the tables
     equal np.interp's bit for bit.
 
-    points, a boolean mask over the grid (default: every point), names the
-    points that are evaluated; the model is 0 at the others.  A caller that
-    reads only some points of the model passes them here.  The energy shift
-    and the theory-range check still cover the whole grid, so the validity
-    mask and every ModelError do not depend on points.
+    The energy shift invalidates a prefix of the grid (shift_k); each table
+    states it as first, the index of the first valid point (n_points when
+    none is).  points, a slice of the grid of step 1 (default: the whole
+    grid), names the points that are evaluated; the model is 0 at the
+    others and at the invalid ones.  A caller that reads only some points
+    of the model passes them here.  The theory-range check still covers the
+    whole grid, so first and every ModelError do not depend on points.
     """
 
     def __init__(
-        self, paths: PathSet, grid: KGrid, cache_size: int = 4096, points=None
+        self, paths: PathSet, grid: KGrid, cache_size: int = 4096, points=slice(None)
     ):
         self.paths = paths
         self.grid = grid
         self.n_paths = len(paths)
-        if points is None:
-            points = np.ones(grid.n_points, dtype=bool)
-        self.points = np.asarray(points, dtype=bool)
-        if self.points.shape != (grid.n_points,):
-            raise ModelError(
-                f"points has shape {self.points.shape}, grid has {grid.n_points} points"
-            )
+        self._start, self._stop, step = points.indices(grid.n_points)
+        if step != 1 or self._start >= self._stop:
+            raise ModelError(f"points {points} is not a nonempty slice of step 1")
         self.deg = np.array([p.degeneracy for p in paths])
         self.r_eff = np.array([p.r_eff for p in paths])
         self._kt_lo = np.array([p.k_theory[0] for p in paths])
@@ -148,10 +147,11 @@ class ModelEvaluator:
         if hit is not None:
             return hit
         kp, valid = shift_k(self.grid, delta_e0)
-        if valid[-1]:
-            # valid is a suffix and kp nondecreasing (shift_k): the ends of
-            # the valid part are its smallest and largest shifted k.
-            lo, hi = kp[valid.argmax()], kp[-1]
+        first = valid.size - np.count_nonzero(valid)
+        if first < valid.size:
+            # kp is nondecreasing (shift_k): the ends of the valid part are
+            # its smallest and largest shifted k.
+            lo, hi = kp[first], kp[-1]
             bad = (lo < self._kp_min) | (hi > self._kp_max)
             if bad.any():
                 i = int(np.argmax(bad))
@@ -159,7 +159,7 @@ class ModelEvaluator:
                     f"path {self.paths.paths[i].label}: shifted k in [{lo:.3f}, {hi:.3f}]"
                     f" outside theory range [{self._kt_lo[i]:.3f}, {self._kt_hi[i]:.3f}]"
                 )
-        used = valid & self.points
+        used = slice(max(first, self._start), self._stop)
         kv = kp[used]
         # (f_eff, phase_scatter, phase_central, lam) at kv, one row per path.
         # With one theory grid the gather's output is already in path order;
@@ -173,7 +173,7 @@ class ModelEvaluator:
         f, phase_scatter, phase_central, lam = interp
         # The per-row kernel's constants: deg*F/k, -2/lambda and -2k^2.
         entry = (
-            valid,
+            first,
             used,
             kv,
             self.deg[:, None] * f / kv,
@@ -197,12 +197,12 @@ class ModelEvaluator:
         out += np.take(fp, j, axis=-1)
         return out
 
-    def _terms(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _terms(self, genes: np.ndarray) -> tuple[np.ndarray, int, slice]:
         """Per-path summands at the evaluated points, shape (n_paths, n_used),
-        the validity mask and the mask of evaluated points (valid & points)."""
-        valid, used, kv, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
+        the first valid index and the slice of evaluated points."""
+        first, used, kv, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
         if kv.size == 0:
-            return np.empty((self.n_paths, 0)), valid, used
+            return np.empty((self.n_paths, 0)), first, used
         s02 = genes[1::3]
         sigma2 = genes[2::3]
         r = self.r_eff + genes[3::3]
@@ -221,24 +221,24 @@ class ModelEvaluator:
         terms *= np.sin(osc, out=osc)
         terms *= deg_f_k
         terms *= (s02 / r**2)[:, None]
-        return terms, valid, used
+        return terms, first, used
 
-    def evaluate_genes(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """chi(k) and validity mask from a flat gene vector
+    def evaluate_genes(self, genes: np.ndarray) -> tuple[np.ndarray, int]:
+        """chi(k) and the first valid index from a flat gene vector
         [delta_e0, (s02, sigma2, delta_r) per path]; chi is 0 at invalid
         points and outside points."""
-        terms, valid, used = self._terms(np.asarray(genes, dtype=float))
+        terms, first, used = self._terms(np.asarray(genes, dtype=float))
         out = np.zeros(self.grid.n_points)
         out[used] = terms.sum(axis=0)
-        return out, valid
+        return out, first
 
-    def evaluate_paths(self, genes) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_paths(self, genes) -> tuple[np.ndarray, int]:
         """Unsummed model: one chi(k) row per path (0 at invalid points and
-        outside points), and the validity mask."""
+        outside points), and the first valid index."""
         genes = np.asarray(genes, dtype=float)
         if genes.size != 1 + 3 * self.n_paths:
             raise ModelError(f"{genes.size} genes for {self.n_paths} paths")
-        terms, valid, used = self._terms(genes)
+        terms, first, used = self._terms(genes)
         out = np.zeros((self.n_paths, self.grid.n_points))
         out[:, used] = terms
-        return out, valid
+        return out, first

@@ -9,8 +9,9 @@ lines, a column-header line, and 7-column data rows:
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,8 +221,6 @@ def load_path_file(path, label: str | None = None) -> ScatteringPath:
     "<file>:<line>:" where parse_feff_path names one."""
     with open(path) as fh:
         content = fh.read()
-    import os
-
     try:
         return parse_feff_path(content, label=label or os.path.basename(str(path)))
     except PathParseError as exc:
@@ -234,9 +233,6 @@ def load_manifest(manifest_path) -> PathSet:
     """Load a PathSet from a manifest: one path filename per line, with an
     optional degeneracy override as a second token. '#' comments allowed.
     Filenames are resolved relative to the manifest's directory."""
-    import os
-    from dataclasses import replace
-
     base = os.path.dirname(os.path.abspath(str(manifest_path)))
     paths = []
     first_line: dict[str, int] = {}  # label -> manifest line that listed it

@@ -88,7 +88,6 @@ class FTConfig:
     k_range: tuple[float, float]
     r_range: tuple[float, float] = (0.0, 6.0)
     k_weight: int = 2
-    window: str = "hanning"
     window_sill: float = 1.0
     n_fft: int = 2048
 
@@ -103,8 +102,6 @@ class FTConfig:
             raise TransformConfigError("invalid r_range")
         if self.window_sill < 0:
             raise TransformConfigError("window_sill must be >= 0")
-        if self.window not in ("hanning",):
-            raise TransformConfigError(f"unknown window {self.window!r}")
         if 2 * self.window_sill > (self.k_range[1] - self.k_range[0]):
             raise TransformConfigError("window_sill wider than half the fit range")
 
@@ -149,12 +146,6 @@ def check_k_range(config: FTConfig, grid: KGrid) -> None:
         raise TransformConfigError(
             f"k_range [{lo}, {hi}] extends beyond the grid [{grid.k_min}, {grid.k_max}]"
         )
-
-
-def make_window(config: FTConfig, grid: KGrid) -> np.ndarray:
-    """Window weights at the grid points."""
-    check_k_range(config, grid)
-    return window_weights(grid.ks, config)
 
 
 class KToRMap:

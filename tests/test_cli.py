@@ -12,6 +12,7 @@ from exafsga.cli import (
     main,
     parse_config,
 )
+from exafsga.fitness import FitnessError
 from exafsga.paths import serialize_feff_path, synth_path
 from exafsga.spectra import KGrid, SpectrumError
 
@@ -137,6 +138,7 @@ class TestParseConfig:
         for text, message in [
             ("\n[ga]\npopulaton_size = 99999\n", r"\[ga\] unknown key 'populaton_size'"),
             ("seed = 3\n", r"\[run\] unknown key 'seed'"),
+            ("\n[ft]\nwindow = hanning\n", r"\[ft\] unknown key 'window'"),
             ("\n[fitting]\nspace = R\n", r"unknown section \[fitting\]"),
             ("\n[DEFAULT]\nk_min = 1\n", r"unknown section \[DEFAULT\]"),
         ]:
@@ -147,6 +149,15 @@ class TestParseConfig:
         # [synth_paths] keys are path labels, not settings.
         cfg = write_config(tmp_path, "[run]\nmode = synth\n\n[synth_paths]\nany_label = 2.3 6 1\n")
         assert parse_config(cfg).synth_paths == [("any_label", 2.3, 6.0, 1.0)]
+
+    @pytest.mark.parametrize("k_weight", ["7", "-2", "400"])
+    def test_fitness_k_weight_out_of_range_rejected(self, tmp_path, capsys, k_weight):
+        cfg = write_config(tmp_path, f"[run]\nmode = fit\n\n[fitness]\nk_weight = {k_weight}\n")
+        message = f"k_weight must be in 0..3, got {k_weight}"
+        with pytest.raises(FitnessError, match=re.escape(message)):
+            parse_config(cfg)
+        assert main(["fit", "--config", cfg]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ft, fit_range", [("k_max_fit = 20", "2.5, 20.0"),
                                                 ("k_min_fit = 0.1", "0.1, 12.0")])

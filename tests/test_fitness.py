@@ -9,7 +9,6 @@ from exafsga.fitness import (
     FitnessError,
     SpectrumObjective,
     chi2,
-    estimate_epsilon,
     metrics,
 )
 from exafsga.ga import Chromosome, GAConfig, GAError, GeneCodec, default_gene_specs, evolve
@@ -47,6 +46,11 @@ class TestChi2:
         base = chi2(model, data, FitnessConfig(ft=FTConfig(k_range=(2, 11)), epsilon=1.0))
         doubled = chi2(model, data, FitnessConfig(ft=FTConfig(k_range=(2, 11)), epsilon=2.0))
         assert doubled == pytest.approx(base / 4.0)
+
+    @pytest.mark.parametrize("k_weight", [-2, 4, 7, 400])
+    def test_k_weight_must_be_0_to_3(self, k_weight):
+        with pytest.raises(FitnessError, match=rf"k_weight must be in 0\.\.3, got {k_weight}$"):
+            FitnessConfig(ft=FTConfig(k_range=(2, 11)), k_weight=k_weight)
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), np.full(241, 1.0)])
     def test_epsilon_must_be_positive_scalar(self, epsilon):
@@ -112,16 +116,6 @@ class TestMetrics:
         assert shifted["rmse"] == pytest.approx(base["rmse"])
 
 
-class TestEstimateEpsilon:
-    def test_pure_noise_scaling(self):
-        grid = KGrid(0.5, 12.5, 0.01)
-        rng = np.random.default_rng(7)
-        noise = rng.normal(0, 1e-3, grid.n_points)
-        spec = KSpectrum(grid=grid, chi=noise / grid.ks**3)
-        # k^3*chi is white noise with sigma 1e-3 over the tail
-        assert estimate_epsilon(spec) == pytest.approx(1e-3, rel=0.2)
-
-
 class TestSpectrumObjective:
     def make(self, space="K"):
         grid = KGrid(0.5, 12.5, 0.05)
@@ -163,7 +157,8 @@ class TestSpectrumObjective:
         k = obj.grid.ks
         codec = GeneCodec(default_gene_specs(2, e0_bounds=(-3.0, 3.0, 0.01)))
         for genes in codec.random(rng, 4):
-            chi, valid = ModelEvaluator(obj.paths, obj.grid).evaluate_genes(genes)
+            chi, first = ModelEvaluator(obj.paths, obj.grid).evaluate_genes(genes)
+            valid = np.arange(obj.grid.n_points) >= first
             model = KSpectrum(obj.grid, np.where(valid, chi, 0.0))
             expected = np.sum((np.abs(direct_transform(model, ft)[1]) - data_r) ** 2)
             if space == "K+R":
@@ -210,7 +205,8 @@ class TestRestrictedEvaluation:
         data_r = transform_k_to_r(obj.data, ft).magnitude
         codec = GeneCodec(default_gene_specs(3, e0_bounds=(-5.0, 5.0, 0.01)))
         for genes in codec.random(rng, 8):
-            chi, valid = full.evaluate_genes(genes)
+            chi, first = full.evaluate_genes(genes)
+            valid = np.arange(obj.grid.n_points) >= first
             model_r = transform_k_to_r(KSpectrum(obj.grid, np.where(valid, chi, 0.0)), ft)
             m = k_mask & valid
             expected = 0.0
@@ -247,10 +243,10 @@ class TestRestrictedEvaluation:
 
 
 class TestPerRowPath:
-    """evaluate_genes applies the cached k->r map to the evaluator's chi and,
-    while the energy shift leaves the fit range valid, reads that range
-    through precomputed slices; it equals the spectrum-level composition of
-    chi2, KSpectrum and transform_k_to_r bit for bit."""
+    """evaluate_genes applies the cached k->r map to the evaluator's chi and
+    reads the valid part of the fit range as one slice; it equals the
+    spectrum-level composition of chi2, KSpectrum and transform_k_to_r bit
+    for bit."""
 
     GRID = KGrid(0.5, 12.5, 0.05)
     FT = FTConfig(k_range=(2.0, 11.0))
@@ -272,9 +268,10 @@ class TestPerRowPath:
         return SpectrumObjective(data, fit_paths or paths, cfg), rng
 
     def composed(self, obj, genes):
-        chi, valid = ModelEvaluator(obj.paths, obj.grid).evaluate_genes(genes)
+        chi, first = ModelEvaluator(obj.paths, obj.grid).evaluate_genes(genes)
         k = obj.grid.ks
         kw = k**obj.config.k_weight
+        valid = np.arange(k.size) >= first
         m = (k >= self.FT.k_range[0]) & (k <= self.FT.k_range[1]) & valid
         total = 0.0
         if obj.config.space in ("K", "K+R"):
@@ -293,7 +290,7 @@ class TestPerRowPath:
         rows[0, 0] = self.SHIFT_PAST_FIT_START
         _, valid = shift_k(self.GRID, rows[0, 0])
         fit = (self.GRID.ks >= 2.0) & (self.GRID.ks <= 11.0)
-        assert valid[fit].any() and not valid[fit].all()  # the fallback path
+        assert valid[fit].any() and not valid[fit].all()  # the shift cuts into the fit range
         for genes in rows:
             assert obj.evaluate_genes(genes) == self.composed(obj, genes)
 

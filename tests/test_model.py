@@ -7,6 +7,7 @@ from exafsga.model import (
     ModelEvaluator,
     PathParams,
     evaluate_model,
+    evaluate_model_masked,
     path_contribution,
     shift_k,
 )
@@ -218,12 +219,13 @@ class TestModelEvaluator:
                 ]
             )
             chrom = Chromosome.from_genes(genes)
-            fast, valid = ev.evaluate_genes(genes)
+            fast, first = ev.evaluate_genes(genes)
+            valid = np.arange(grid.n_points) >= first
             assert np.array_equal(valid, shift_k(grid, genes[0])[1])
             ref = naive_model(ps, chrom.delta_e0, chrom.per_path, grid)
             np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-16)
-            rows, valid_p = ev.evaluate_paths(genes)
-            assert rows.shape == (4, grid.n_points) and np.array_equal(valid_p, valid)
+            rows, first_p = ev.evaluate_paths(genes)
+            assert rows.shape == (4, grid.n_points) and first_p == first
             np.testing.assert_allclose(rows.sum(axis=0), fast, rtol=1e-12, atol=1e-16)
 
     def test_cache_consistency(self):
@@ -234,6 +236,18 @@ class TestModelEvaluator:
         first, _ = ev.evaluate_genes(genes)
         second, _ = ev.evaluate_genes(genes)
         assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("delta_e0", [-5.0, 10.0, 12.0**2 / EV_TO_KSQ + 1.0])
+    def test_first_counts_the_invalid_points(self, delta_e0):
+        # None, some and all of the grid's points invalid.
+        grid = KGrid(0.5, 12.0, 0.05)
+        ps = PathSet(paths=(flat_amplitude_path(grid),))
+        genes = [delta_e0, 0.8, 0.001, 0.0]
+        n_invalid = np.count_nonzero(~shift_k(grid, delta_e0)[1])
+        assert ModelEvaluator(ps, grid).evaluate_genes(genes)[1] == n_invalid
+        assert ModelEvaluator(ps, grid).evaluate_paths(genes)[1] == n_invalid
+        chrom = Chromosome.from_genes(np.array(genes))
+        assert evaluate_model_masked(ps, chrom, grid)[1] == n_invalid
 
 
 def theory_path(label, kt, seed, r_eff=2.5):
@@ -258,9 +272,10 @@ class TestTables:
     @staticmethod
     def assert_tables_match_interp(ps, grid, delta_e0):
         ev = ModelEvaluator(ps, grid)
-        valid, used, kv, deg_f_k, phase, neg2_inv_lam, _ = ev._tables(delta_e0)
+        first, used, kv, deg_f_k, phase, neg2_inv_lam, _ = ev._tables(delta_e0)
         kp, valid_ref = shift_k(grid, delta_e0)
-        np.testing.assert_array_equal(valid, valid_ref)
+        np.testing.assert_array_equal(np.arange(grid.n_points) >= first, valid_ref)
+        assert used == slice(first, grid.n_points)
         np.testing.assert_array_equal(kv, kp[valid_ref])
         for i, p in enumerate(ps):
             kt = p.k_theory
@@ -370,28 +385,36 @@ class TestTheoryRange:
         grid = KGrid(0.5, 12.0, 0.05)
         ps = PathSet(paths=(theory_path("tight_lo", np.arange(2.0, 16.0, 0.05), 0),))
         delta_e0 = 12.0**2 / EV_TO_KSQ + 1.0
-        chi, valid = ModelEvaluator(ps, grid).evaluate_genes([delta_e0, 0.8, 0.001, 0.0])
-        assert not valid.any() and not chi.any()
+        chi, first = ModelEvaluator(ps, grid).evaluate_genes([delta_e0, 0.8, 0.001, 0.0])
+        assert first == grid.n_points and not chi.any()
 
 
 class TestPoints:
-    def test_model_is_zero_outside_points_and_equal_inside(self):
+    # 1.3 eV invalidates the grid's first point, before the points; 95 eV
+    # the points below k = 5, inside them; 381 eV every point of them.
+    @pytest.mark.parametrize("delta_e0", [1.3, 95.0, 381.0])
+    def test_model_is_zero_outside_points_and_equal_inside(self, delta_e0):
         grid = KGrid(0.5, 12.0, 0.05)
         ps = PathSet(
             paths=tuple(synth_path(2.0 + 0.5 * i, 6.0, grid, label=f"p{i}") for i in range(3))
         )
-        points = (grid.ks >= 3.0) & (grid.ks <= 9.0)
+        inside = (grid.ks >= 3.0) & (grid.ks <= 9.0)
+        points = slice(np.argmax(inside), grid.n_points - np.argmax(inside[::-1]))
+        assert np.array_equal(np.arange(grid.n_points)[points], np.flatnonzero(inside))
         full = ModelEvaluator(ps, grid)
         part = ModelEvaluator(ps, grid, points=points)
-        genes = np.concatenate([[1.3], [0.8, 0.004, 0.02] * 3])
-        chi_full, valid_full = full.evaluate_genes(genes)
-        chi, valid = part.evaluate_genes(genes)
-        np.testing.assert_array_equal(valid, valid_full)
-        np.testing.assert_array_equal(chi[points], chi_full[points])
-        assert np.all(chi[~points] == 0.0)
+        genes = np.concatenate([[delta_e0], [0.8, 0.004, 0.02] * 3])
+        chi_full, first_full = full.evaluate_genes(genes)
+        chi, first = part.evaluate_genes(genes)
+        assert first == first_full
+        np.testing.assert_array_equal(chi[inside], chi_full[inside])
+        assert np.all(chi[~inside] == 0.0)
 
-    def test_points_shape_checked(self):
+    @pytest.mark.parametrize(
+        "points", [slice(5, 5), slice(9, 3), slice(500, None), slice(0, None, 2)]
+    )
+    def test_points_must_be_a_nonempty_unit_step_slice(self, points):
         grid = KGrid(0.5, 12.0, 0.05)
         ps = PathSet(paths=(synth_path(2.5, 6.0, grid, label="p"),))
         with pytest.raises(ModelError, match="points"):
-            ModelEvaluator(ps, grid, points=np.ones(3, dtype=bool))
+            ModelEvaluator(ps, grid, points=points)

@@ -39,6 +39,15 @@ class TestParser:
         assert path.phase_central[0] == pytest.approx(2.9505)
         assert path.lam[1] == pytest.approx(6.1446)
 
+    def test_file_without_column_header(self):
+        # Data then starts at the first line of seven numeric columns.
+        header = next(ln for ln in MINIMAL_FILE.splitlines(keepends=True) if "real[p]" in ln)
+        bare = parse_feff_path(MINIMAL_FILE.replace(header, ""), label="feff0001.dat")
+        full = parse_feff_path(MINIMAL_FILE, label="feff0001.dat")
+        assert (bare.degeneracy, bare.r_eff) == (full.degeneracy, full.r_eff)
+        for name in ("k_theory", "f_eff", "phase_scatter", "phase_central", "lam", "real_p"):
+            np.testing.assert_array_equal(getattr(bare, name), getattr(full, name))
+
     def test_missing_separator(self):
         with pytest.raises(PathParseError, match="separator"):
             parse_feff_path("just some text\nwith no dashes\n")

@@ -9,8 +9,8 @@ from exafsga.spectra import (
     KSpectrum,
     SpectrumError,
     TransformConfigError,
+    check_k_range,
     k_to_r_map,
-    make_window,
     read_chi_file,
     resample_onto,
     transform_k_to_r,
@@ -69,13 +69,13 @@ class TestKGrid:
 class TestWindow:
     def test_plateau_weight_is_one(self, grid):
         cfg = FTConfig(k_range=(2.0, 12.0), window_sill=1.0)
-        w = make_window(cfg, grid)
+        w = window_weights(grid.ks, cfg)
         center = np.argmin(np.abs(grid.ks - 7.0))
         assert w[center] == 1.0
 
     def test_outside_range_is_zero(self, grid):
         cfg = FTConfig(k_range=(2.0, 12.0), window_sill=1.0)
-        w = make_window(cfg, grid)
+        w = window_weights(grid.ks, cfg)
         assert np.all(w[grid.ks < 2.0] == 0.0)
         assert np.all(w[grid.ks > 12.0] == 0.0)
 
@@ -84,19 +84,19 @@ class TestWindow:
         # midpoint: sin^2(0) = 0 and sin^2(pi/4) = 0.5.
         grid = KGrid(k_min=0.0, k_max=12.0, delta_k=0.5)
         cfg = FTConfig(k_range=(2.0, 12.0), window_sill=1.0)
-        w = make_window(cfg, grid)
+        w = window_weights(grid.ks, cfg)
         assert w[np.argmin(np.abs(grid.ks - 2.0))] == pytest.approx(0.0, abs=1e-15)
         assert w[np.argmin(np.abs(grid.ks - 2.5))] == pytest.approx(0.5, rel=1e-12)
 
     def test_weights_in_unit_interval(self, grid):
         cfg = FTConfig(k_range=(2.5, 11.5), window_sill=1.5)
-        w = make_window(cfg, grid)
+        w = window_weights(grid.ks, cfg)
         assert np.all((w >= 0.0) & (w <= 1.0))
 
     def test_symmetric_about_fit_midpoint(self):
         grid = KGrid(k_min=2.0, k_max=12.0, delta_k=0.05)
         cfg = FTConfig(k_range=(2.0, 12.0), window_sill=1.5)
-        w = make_window(cfg, grid)
+        w = window_weights(grid.ks, cfg)
         assert np.allclose(w, w[::-1], atol=1e-12)
 
     def test_sill_too_wide(self, grid):
@@ -105,8 +105,8 @@ class TestWindow:
 
     def test_range_beyond_grid(self, grid):
         cfg = FTConfig(k_range=(0.1, 12.0))
-        with pytest.raises(TransformConfigError):
-            make_window(cfg, grid)
+        with pytest.raises(TransformConfigError, match="extends beyond the grid"):
+            check_k_range(cfg, grid)
 
 
 class TestTransform:
