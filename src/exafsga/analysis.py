@@ -145,6 +145,10 @@ def cutoff_sweep(
     percents = list(percents)
     if not percents:
         raise AnalysisError("percents must be non-empty")
+    if not all(p >= 0 for p in percents):
+        raise AnalysisError(f"percents must be non-negative, got {percents}")
+    if n_repeat < 1:
+        raise AnalysisError(f"n_repeat must be at least 1, got {n_repeat}")
     if gene_spec_builder is None:
         gene_spec_builder = default_gene_specs
     if gene_specs is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -61,45 +62,51 @@ class RunConfig:
     benchmark_generations: int = 5
 
 
-def _get(cp, section: str, key: str, cast=str, default=None, required=False):
+def _get(cp, section: str, key: str, cast=str, default=None):
     if section not in cp or key not in cp[section]:
-        if required:
-            raise ConfigError(f"[{section}] missing required key '{key}'")
         return default
     raw = cp[section][key]
     try:
         return cast(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}: {exc}") from exc
 
 
-def _list(cast):
-    """Cast of a whitespace- or comma-separated list of values."""
-    return lambda raw: tuple(cast(x) for x in raw.replace(",", " ").split())
+def _number(cast=float, minimum=None):
+    """Cast of one finite number, at least minimum when one is given."""
+    def parse(raw: str):
+        value = cast(raw)
+        if not -math.inf < value < math.inf:
+            raise ValueError("not a finite number")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be at least {minimum}")
+        return value
+
+    return parse
 
 
-def _range(cast, minimum=None):
-    """Cast of a 'low high' pair with minimum <= low <= high."""
+def _list(cast=float, lengths=None, minimum=None, ordered=False):
+    """Cast of a whitespace- or comma-separated list of finite numbers, each at
+    least minimum: as many as one of lengths (one or more when None), in
+    ascending order if ordered."""
+    number = _number(cast, minimum)
+
     def parse(raw: str) -> tuple:
-        vals = _list(cast)(raw)
-        if len(vals) != 2 or vals[0] > vals[1]:
-            raise ValueError("needs 'low high' with low <= high")
-        if minimum is not None and vals[0] < minimum:
-            raise ValueError(f"low must be at least {minimum}")
+        vals = tuple(number(x) for x in raw.replace(",", " ").split())
+        if not vals or lengths and len(vals) not in lengths:
+            raise ValueError(f"needs {' or '.join(map(str, lengths or ['one or more']))} values")
+        if ordered and list(vals) != sorted(vals):
+            raise ValueError("values must be in ascending order")
         return vals
 
     return parse
 
 
-def _bounds(minimum=None):
-    """Cast of a 'lower upper step' triple with minimum <= lower."""
+def _gene_bounds(name: str, minimum=None):
+    """Cast of a 'lower upper step' triple that GeneSpec accepts."""
     def parse(raw: str) -> tuple[float, float, float]:
-        vals = _list(float)(raw)
-        if len(vals) != 3:
-            raise ValueError("needs 'lower upper step'")
-        if minimum is not None and vals[0] < minimum:
-            raise ValueError(f"lower must be at least {minimum}")
-        return vals
+        spec = GeneSpec(name, *_list(float, (3,), minimum)(raw))
+        return spec.lower, spec.upper, spec.step
 
     return parse
 
@@ -109,55 +116,73 @@ def _optional_int(raw: str) -> int | None:
 
 
 def _snr(raw: str) -> float | None:
-    return None if raw in ("inf", "none") else float(raw)
+    if raw in ("inf", "none"):
+        return None
+    value = float(raw)
+    if not value > 0:
+        raise ValueError("must be positive, 'inf' or 'none'")
+    return value
 
 
-# (section, key, field, cast, default) of every setting that fills KGrid,
-# FTConfig, FitnessConfig, GAConfig and the gene bounds.  Keys that name the
-# same field fill it as a (lower, upper) pair, in table order.
+# (section, key, field, cast, default) of every setting but the [synth_paths]
+# labels.  [grid], [ft], [fitness] and [ga] fill KGrid, FTConfig, FitnessConfig
+# and GAConfig, [genes] the gene bounds, the other sections RunConfig's fields.
+# Keys that name the same field fill it as a (lower, upper) pair, in order.
 SETTINGS = (
-    ("grid", "k_min", "k_min", float, 0.5),
-    ("grid", "k_max", "k_max", float, 12.5),
-    ("grid", "delta_k", "delta_k", float, 0.05),
-    ("ft", "k_min_fit", "k_range", float, 2.5),
-    ("ft", "k_max_fit", "k_range", float, 12.0),
-    ("ft", "r_min", "r_range", float, 0.0),
-    ("ft", "r_max", "r_range", float, 6.0),
+    ("run", "mode", "mode", str, None),
+    ("run", "output_dir", "output_dir", str, "out"),
+    ("run", "data_file", "data_file", str, RunConfig.data_file),
+    ("run", "path_manifest", "path_manifest", str, RunConfig.path_manifest),
+    ("grid", "k_min", "k_min", _number(), 0.5),
+    ("grid", "k_max", "k_max", _number(), 12.5),
+    ("grid", "delta_k", "delta_k", _number(), 0.05),
+    ("ft", "k_min_fit", "k_range", _number(), 2.5),
+    ("ft", "k_max_fit", "k_range", _number(), 12.0),
+    ("ft", "r_min", "r_range", _number(), 0.0),
+    ("ft", "r_max", "r_range", _number(), 6.0),
     ("ft", "k_weight", "k_weight", int, 2),
-    ("ft", "window_sill", "window_sill", float, 1.0),
+    ("ft", "window_sill", "window_sill", _number(), 1.0),
     ("ft", "n_fft", "n_fft", int, 2048),
     ("fitness", "space", "space", str, "K"),
     ("fitness", "n_indep", "n_indep", _optional_int, None),
-    ("fitness", "epsilon", "epsilon", float, 1.0),
+    ("fitness", "epsilon", "epsilon", _number(), 1.0),
     ("fitness", "k_weight", "k_weight", int, 2),
     ("ga", "population_size", "population_size", int, 200),
     ("ga", "max_generations", "max_generations", int, 100),
-    ("ga", "elite_fraction", "elite_fraction", float, 0.2),
-    ("ga", "random_fraction", "random_fraction", float, 0.2),
+    ("ga", "elite_fraction", "elite_fraction", _number(), 0.2),
+    ("ga", "random_fraction", "random_fraction", _number(), 0.2),
     ("ga", "crossover_method", "crossover_method", str, "uniform"),
     ("ga", "mutation_method", "mutation_method", str, "maximum"),
-    ("ga", "initial_mutation_rate", "initial_mutation_rate", float, 20.0),
-    ("ga", "mutation_rate_min", "mutation_rate_bounds", float, 1.0),
-    ("ga", "mutation_rate_max", "mutation_rate_bounds", float, 90.0),
-    ("ga", "rechenberg_factor", "rechenberg_factor", float, 0.9),
+    ("ga", "initial_mutation_rate", "initial_mutation_rate", _number(), 20.0),
+    ("ga", "mutation_rate_min", "mutation_rate_bounds", _number(), 1.0),
+    ("ga", "mutation_rate_max", "mutation_rate_bounds", _number(), 90.0),
+    ("ga", "rechenberg_factor", "rechenberg_factor", _number(), 0.9),
     ("ga", "patience", "patience", int, 20),
     ("ga", "rng_seed", "rng_seed", int, 0),
-    ("genes", "delta_e0", "delta_e0", _bounds(), (-10.0, 10.0, 0.01)),
-    ("genes", "s02", "s02", _bounds(0.0), (0.0, 1.2, 0.005)),
-    ("genes", "sigma2", "sigma2", _bounds(0.0), (0.0, 0.02, 1e-4)),
-    ("genes", "delta_r", "delta_r", _bounds(), (-0.2, 0.2, 1e-3)),
+    ("genes", "delta_e0", "delta_e0", _gene_bounds("delta_e0"), (-10.0, 10.0, 0.01)),
+    ("genes", "s02", "s02", _gene_bounds("s02", 0.0), (0.0, 1.2, 0.005)),
+    ("genes", "sigma2", "sigma2", _gene_bounds("sigma2", 0.0), (0.0, 0.02, 1e-4)),
+    ("genes", "delta_r", "delta_r", _gene_bounds("delta_r"), (-0.2, 0.2, 1e-3)),
+    ("synth", "s02", "s02", _list(), ()),
+    ("synth", "sigma2", "sigma2", _list(), ()),
+    ("synth", "delta_r", "delta_r", _list(), ()),
+    ("synth", "delta_e0", "delta_e0", _number(), 0.0),
+    ("synth", "snr", "snr", _snr, RunConfig.snr),
+    ("synth", "seed", "synth_seed", int, RunConfig.synth_seed),
+    ("cutoff", "percents", "cutoff_percents", _list(minimum=0.0), RunConfig.cutoff_percents),
+    ("cutoff", "repeats", "cutoff_repeats", _number(int, 1), RunConfig.cutoff_repeats),
+    ("error", "n_runs", "error_runs", _number(int, 2), RunConfig.error_runs),
+    *(("error", name, name, _list(cast, (2,), MIN_HYPER.get(name), ordered=True),
+       DEFAULT_HYPER_RANGES[name])
+      for name, cast in (("population", int), ("generations", int), ("mutation_rate", float))),
+    ("benchmark", "n_paths", "benchmark_n_paths", _list(int, minimum=1),
+     RunConfig.benchmark_n_paths),
+    ("benchmark", "generations", "benchmark_generations", int, RunConfig.benchmark_generations),
 )
 
 # The keys parse_config reads, per section.  [synth_paths] is not listed: its
 # keys are path labels, and every one is read.
-KEYS = {
-    **{section: {k for s, k, *_ in SETTINGS if s == section} for section, *_ in SETTINGS},
-    "run": {"mode", "output_dir", "data_file", "path_manifest"},
-    "synth": {"s02", "sigma2", "delta_r", "delta_e0", "snr", "seed"},
-    "cutoff": {"percents", "repeats"},
-    "error": {"n_runs", "population", "generations", "mutation_rate"},
-    "benchmark": {"n_paths", "generations"},
-}
+KEYS = {section: {k for s, k, *_ in SETTINGS if s == section} for section, *_ in SETTINGS}
 
 
 def parse_config(path: str) -> RunConfig:
@@ -181,16 +206,13 @@ def parse_config(path: str) -> RunConfig:
             if key not in KEYS[section]:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
 
-    run = cp["run"]
-    mode = _get(cp, "run", "mode", required=True)
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-    fields = {"grid": {}, "ft": {}, "fitness": {}, "ga": {}, "genes": {}}
+    fields = {section: {} for section in KEYS}
     for section, key, field, cast, default in SETTINGS:
         value = _get(cp, section, key, cast, default)
         kwargs = fields[section]
         kwargs[field] = (kwargs[field], value) if field in kwargs else value
+    if fields["run"]["mode"] not in MODES:
+        raise ConfigError(f"[run] mode must be one of {MODES}, got {fields['run']['mode']!r}")
     grid = KGrid(**fields["grid"])
     fitness = FitnessConfig(ft=FTConfig(**fields["ft"]), **fields["fitness"])
     try:
@@ -198,51 +220,24 @@ def parse_config(path: str) -> RunConfig:
     except TransformConfigError as exc:
         raise ConfigError(f"[ft] {exc}") from None
 
-    cfg = RunConfig(
-        mode=mode,
-        output_dir=run.get("output_dir", "out"),
-        grid=grid,
-        ga=GAConfig(**fields["ga"]),
-        fitness=fitness,
-        gene_bounds=fields["genes"],
-        data_file=run.get("data_file"),
-        path_manifest=run.get("path_manifest"),
-    )
-
+    synth_paths = None
     if "synth_paths" in cp:
-        cfg.synth_paths = []
-        for key in cp["synth_paths"]:
-            vals = _get(cp, "synth_paths", key, _list(float))
-            if len(vals) not in (3, 4):
-                raise ConfigError(
-                    f"[synth_paths] '{key}' needs 'r_eff degeneracy amp [lambda]'"
-                )
-            cfg.synth_paths.append((key, *vals))
-
-    synth = [_get(cp, "synth", key, _list(float), ()) for key in ("s02", "sigma2", "delta_r")]
-    if len({len(v) for v in synth}) != 1:
+        synth_paths = [(key, *_get(cp, "synth_paths", key, _list(lengths=(3, 4))))
+                       for key in cp["synth_paths"]]
+    synth = fields["synth"]
+    lists = [synth.pop(key) for key in ("s02", "sigma2", "delta_r")]
+    delta_e0 = synth.pop("delta_e0")
+    if len({len(v) for v in lists}) != 1:
         raise ConfigError("[synth] s02, sigma2, delta_r lists must match in length")
-    if cfg.synth_paths and synth[0] and len(synth[0]) != len(cfg.synth_paths):
+    if synth_paths and lists[0] and len(lists[0]) != len(synth_paths):
         raise ConfigError("[synth] parameter lists must match [synth_paths] count")
-    if synth[0]:
-        cfg.truth = Chromosome(
-            delta_e0=_get(cp, "synth", "delta_e0", float, 0.0),
-            per_path=tuple(PathParams(a, b, c) for a, b, c in zip(*synth)),
-        )
-    cfg.snr = _get(cp, "synth", "snr", _snr, cfg.snr)
-    cfg.synth_seed = _get(cp, "synth", "seed", int, cfg.synth_seed)
-    cfg.cutoff_percents = _get(cp, "cutoff", "percents", _list(float), cfg.cutoff_percents)
-    cfg.cutoff_repeats = _get(cp, "cutoff", "repeats", int, cfg.cutoff_repeats)
-    cfg.error_runs = _get(cp, "error", "n_runs", int, cfg.error_runs)
-    cfg.benchmark_n_paths = _get(cp, "benchmark", "n_paths", _list(int), cfg.benchmark_n_paths)
-    cfg.benchmark_generations = _get(cp, "benchmark", "generations", int,
-                                     cfg.benchmark_generations)
-    cfg.error_ranges = {
-        name: _get(cp, "error", name, _range(cast, MIN_HYPER.get(name)),
-                   DEFAULT_HYPER_RANGES[name])
-        for name, cast in (("population", int), ("generations", int), ("mutation_rate", float))
-    }
-    return cfg
+    truth = Chromosome(delta_e0, tuple(map(PathParams, *lists))) if lists[0] else None
+    error_ranges = {name: fields["error"].pop(name) for name in DEFAULT_HYPER_RANGES}
+    return RunConfig(
+        grid=grid, ga=GAConfig(**fields["ga"]), fitness=fitness, gene_bounds=fields["genes"],
+        synth_paths=synth_paths, truth=truth, error_ranges=error_ranges,
+        **fields["run"], **synth, **fields["cutoff"], **fields["error"], **fields["benchmark"],
+    )
 
 
 def build_paths(cfg: RunConfig) -> PathSet:
@@ -252,19 +247,13 @@ def build_paths(cfg: RunConfig) -> PathSet:
         except PathParseError as exc:
             raise InputError(str(exc)) from exc
     if cfg.synth_paths:
-        return PathSet(
-            paths=tuple(
-                synth_path(
-                    r_eff=vals[0],
-                    degeneracy=vals[1],
-                    grid=cfg.grid,
-                    amp_scale=vals[2],
-                    lambda_const=vals[3] if len(vals) > 3 else 10.0,
-                    label=key,
-                )
-                for key, *vals in cfg.synth_paths
-            )
-        )
+        paths = []
+        for key, *vals in cfg.synth_paths:
+            try:
+                paths.append(synth_path(vals[0], vals[1], cfg.grid, *vals[2:], label=key))
+            except PathParseError as exc:
+                raise ConfigError(f"[synth_paths] '{key}': {exc}") from exc
+        return PathSet(paths=tuple(paths))
     raise ConfigError("either path_manifest or a [synth_paths] section is required")
 
 
@@ -402,7 +391,8 @@ def _run_error_analysis(cfg: RunConfig, out: str) -> list[str]:
 def benchmark_scaling(
     cfg: RunConfig, n_paths_list, generations: int = 5
 ) -> list[tuple[int, float]]:
-    """Seconds per generation as a function of path count, fixed population."""
+    """CPU seconds per generation of this process as a function of path count,
+    fixed population."""
     rows = []
     for n in n_paths_list:
         paths = PathSet(
@@ -425,9 +415,9 @@ def benchmark_scaling(
         ga_cfg = replace(
             cfg.ga, max_generations=generations + 1, patience=generations + 1
         )
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         result = run_ga(data, paths, ga_cfg, cfg.fitness, gene_specs(cfg, n))
-        elapsed = time.perf_counter() - t0
+        elapsed = time.process_time() - t0
         rows.append((n, elapsed / result.n_generations))
     return rows
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class FitnessConfig:
             raise FitnessError(f"space must be K, R, or K+R, got {self.space!r}")
         if self.n_indep is not None and self.n_indep <= 0:
             raise FitnessError("n_indep must be positive")
-        if np.ndim(self.epsilon) != 0 or not self.epsilon > 0:
-            raise FitnessError(f"epsilon must be a positive scalar, got {self.epsilon!r}")
+        if np.ndim(self.epsilon) != 0 or not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise FitnessError(f"epsilon must be a finite positive scalar, got {self.epsilon!r}")
 
 
 def chi2(model: np.ndarray, data: np.ndarray, config: FitnessConfig) -> float:

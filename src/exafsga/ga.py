@@ -39,13 +39,17 @@ class GeneSpec:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lower, self.upper, self.step))):
+            raise GAError(f"{self.name}: lower, upper and step must be finite")
         if not self.lower < self.upper:
             raise GAError(f"{self.name}: lower must be < upper")
         if self.step <= 0:
             raise GAError(f"{self.name}: step must be positive")
-        if (self.upper - self.lower) / self.step < 1:
+        # The level count is checked as a float: it may overflow to inf.
+        spans = (self.upper - self.lower) / self.step
+        if spans < 1:
             raise GAError(f"{self.name}: fewer than two quantization levels")
-        if self.n_levels > 2**32:
+        if spans + 1e-9 >= 2**32:
             raise GAError(f"{self.name}: more than 2^32 quantization levels")
 
     @property

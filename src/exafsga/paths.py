@@ -279,9 +279,9 @@ def synth_path(
     grid.k_max + k_pad so that moderate energy-origin shifts stay in range.
     """
     if r_eff <= 0 or degeneracy <= 0 or lambda_const <= 0:
-        raise ValueError("r_eff, degeneracy, and lambda_const must be positive")
+        raise PathParseError("r_eff, degeneracy, and lambda_const must be positive")
     if amp_scale < 0:
-        raise ValueError("amp_scale must be non-negative")
+        raise PathParseError("amp_scale must be non-negative")
     k = np.arange(0.0, grid.k_max + k_pad + grid.delta_k / 2, grid.delta_k)
     return ScatteringPath(
         label=label or f"synth_r{r_eff:.3f}",

@@ -39,12 +39,16 @@ class KGrid:
     delta_k: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k_min, self.k_max, self.delta_k))):
+            raise SpectrumError("k_min, k_max and delta_k must be finite")
         if self.k_min < 0:
             raise SpectrumError(f"k_min must be >= 0, got {self.k_min}")
         if self.k_max <= self.k_min:
             raise SpectrumError("k_max must exceed k_min")
         if self.delta_k <= 0:
             raise SpectrumError("delta_k must be positive")
+        if not math.isfinite((self.k_max - self.k_min) / self.delta_k):
+            raise SpectrumError("(k_max - k_min) / delta_k overflows")
 
     @property
     def n_points(self) -> int:
@@ -96,6 +100,8 @@ class FTConfig:
             raise TransformConfigError(f"k_weight must be in 0..3, got {self.k_weight}")
         if self.n_fft < 2 or (self.n_fft & (self.n_fft - 1)) != 0:
             raise TransformConfigError(f"n_fft must be a power of two, got {self.n_fft}")
+        if not all(map(math.isfinite, (*self.k_range, *self.r_range, self.window_sill))):
+            raise TransformConfigError("k_range, r_range and window_sill must be finite")
         if self.k_range[1] <= self.k_range[0]:
             raise TransformConfigError("empty k_range")
         if self.r_range[0] < 0 or self.r_range[1] <= self.r_range[0]:

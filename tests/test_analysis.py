@@ -244,6 +244,22 @@ class TestCutoffSweep:
             assert np.isfinite(row["mean_chi2"])
             assert len(row["reports"]) == 2
 
+    @pytest.mark.parametrize("percents, n_repeat, message", [
+        ((5.0,), 0, "n_repeat must be at least 1"),
+        ((5.0, -1.0), 2, "percents must be non-negative"),
+        ((float("nan"),), 2, "percents must be non-negative"),
+    ])
+    def test_arguments_checked_before_any_fit(self, monkeypatch, percents, n_repeat, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        paths = make_paths([1.0, 0.8])
+        data = synth_generate(paths, flat_chromosome(2), GRID, snr=None)
+        fitness = FitnessConfig(ft=FTConfig(k_range=FIT_RANGE))
+        with pytest.raises(AnalysisError, match=message):
+            cutoff_sweep(data, paths, GAConfig(), fitness, percents, n_repeat=n_repeat)
+
     def test_reports_carry_best_chromosomes(self):
         paths = make_paths([1.0, 0.8, 0.002])
         data = synth_generate(paths, flat_chromosome(3, delta_e0=-0.5), GRID, snr=20.0, seed=0)

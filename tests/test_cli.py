@@ -5,6 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from exafsga import analysis, cli
 from exafsga.cli import (
     ConfigError,
     load_data,
@@ -337,6 +338,50 @@ class TestMainErrors:
             tmp_path, FIT_CONFIG.format(out=out, data=tmp_path / "missing.dat")
         )
         assert main(["fit", "--config", cfg]) == 1
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("a fit ran")
+
+
+class TestMainMalformedValues:
+    """A malformed value exits 2, naming its section and key, before any fit."""
+
+    @pytest.mark.parametrize("mode, section, key, value, reason", [
+        ("cutoff-sweep", "cutoff", "repeats", "0", "must be at least 1"),
+        ("cutoff-sweep", "cutoff", "percents", "-1", "must be at least 0.0"),
+        ("error-analysis", "error", "n_runs", "1", "must be at least 2"),
+        ("synth", "synth", "snr", "0", "must be positive, 'inf' or 'none'"),
+        ("benchmark", "benchmark", "n_paths", "0", "must be at least 1"),
+        ("benchmark", "benchmark", "n_paths", "", "needs one or more values"),
+        ("fit", "genes", "s02", "1.0 0.5 0.005", "s02: lower must be < upper"),
+        ("fit", "genes", "s02", "0 1e300 1e-300", "s02: more than 2^32 quantization levels"),
+        ("fit", "grid", "k_min", "nan", "not a finite number"),
+        ("fit", "grid", "k_max", "inf", "not a finite number"),
+        ("fit", "ft", "window_sill", "nan", "not a finite number"),
+        ("fit", "ft", "r_max", "nan", "not a finite number"),
+        ("fit", "fitness", "epsilon", "inf", "not a finite number"),
+    ])
+    def test_setting(self, tmp_path, capsys, monkeypatch, mode, section, key, value, reason):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        cfg = write_config(tmp_path, f"[run]\nmode = {mode}\n\n[{section}]\n{key} = {value}\n")
+        assert main([mode, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: [{section}] key '{key}': cannot parse {value!r}: {reason}\n"
+
+    @pytest.mark.parametrize("mode", ["fit", "synth"])
+    @pytest.mark.parametrize("values, reason", [
+        ("-2.3 6 1", "r_eff, degeneracy, and lambda_const must be positive"),
+        ("2.3 6 1 0", "r_eff, degeneracy, and lambda_const must be positive"),
+        ("2.3 6 -1", "amp_scale must be non-negative"),
+    ])
+    def test_synth_path(self, tmp_path, capsys, monkeypatch, mode, values, reason):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        text = (f"[run]\nmode = {mode}\noutput_dir = {tmp_path / 'out'}\ndata_file = unread.dat\n"
+                f"\n[synth_paths]\na = {values}\n")
+        assert main([mode, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"config error: [synth_paths] 'a': {reason}\n"
 
 
 class TestMainInputErrors:

@@ -52,7 +52,9 @@ class TestChi2:
         with pytest.raises(FitnessError, match=rf"k_weight must be in 0\.\.3, got {k_weight}$"):
             FitnessConfig(ft=FTConfig(k_range=(2, 11)), k_weight=k_weight)
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), np.full(241, 1.0)])
+    @pytest.mark.parametrize(
+        "epsilon", [0.0, -1.0, float("nan"), float("inf"), np.full(241, 1.0)]
+    )
     def test_epsilon_must_be_positive_scalar(self, epsilon):
         # A per-point array cannot follow the fit mask, which subsets the grid.
         with pytest.raises(FitnessError, match="positive scalar"):

@@ -47,6 +47,21 @@ class TestGeneSpec:
         with pytest.raises(GAError):
             GeneSpec("x", 0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("bounds, message", [
+        ((np.nan, 1.0, 0.1), "must be finite"),
+        ((0.0, np.inf, 0.1), "must be finite"),
+        ((0.0, 1.0, np.nan), "must be finite"),
+        ((0.0, 1e300, 1e-300), r"more than 2\^32"),
+        ((-1e308, 1e308, 1.0), r"more than 2\^32"),
+        ((0.0, 2.0**32, 1.0), r"more than 2\^32"),
+    ])
+    def test_non_finite_or_uncountable_levels_rejected(self, bounds, message):
+        with pytest.raises(GAError, match=message):
+            GeneSpec("x", *bounds)
+
+    def test_level_limit_is_inclusive(self):
+        assert GeneSpec("x", 0.0, 2.0**32 - 1, 1.0).n_levels == 2**32
+
 
 class TestInitPopulation:
     """run_ga draws its initial population with GeneCodec.random(rng, size)."""

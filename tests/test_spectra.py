@@ -59,6 +59,17 @@ class TestKGrid:
         with pytest.raises(SpectrumError):
             KGrid(**kwargs)
 
+    @pytest.mark.parametrize("field", ["k_min", "k_max", "delta_k"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(k_min=0.5, k_max=12.5, delta_k=0.05) | {field: value}
+        with pytest.raises(SpectrumError, match="must be finite"):
+            KGrid(**kwargs)
+
+    def test_point_count_overflow_rejected(self):
+        with pytest.raises(SpectrumError, match="overflows"):
+            KGrid(0.0, 1e300, 1e-300)
+
     def test_chi_length_checked(self, grid):
         with pytest.raises(SpectrumError):
             KSpectrum(grid=grid, chi=np.zeros(grid.n_points - 1))
@@ -194,6 +205,15 @@ class TestTransform:
         spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
         out = transform_k_to_r(spec, cfg)
         assert np.allclose(np.diff(out.r), np.pi / (cfg.n_fft * grid.delta_k))
+
+    @pytest.mark.parametrize("field, value", [
+        ("k_range", (np.nan, 12.0)), ("k_range", (2.0, np.inf)), ("r_range", (0.0, np.nan)),
+        ("r_range", (-np.inf, 6.0)), ("window_sill", np.nan), ("window_sill", np.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(k_range=(2.0, 12.0)) | {field: value}
+        with pytest.raises(TransformConfigError, match="must be finite"):
+            FTConfig(**kwargs)
 
     def test_nfft_too_small(self, grid):
         cfg = FTConfig(k_range=(2.0, 12.0), n_fft=128)
