@@ -1,8 +1,9 @@
 """Command-line pipeline: INI configuration, batch orchestration, artifacts.
 
 Subcommands: fit | cutoff-sweep | error-analysis | synth | benchmark, each
-taking --config <file> plus optional --seed and --out overrides.  All
-artifacts are CSV/text; files are written atomically (temp file + rename).
+taking --config <file> plus optional --seed and --out overrides.  A mode
+returns its CSV/text artifacts as lines; run writes them, and the manifest,
+only once the mode has returned, each atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import PathParams, evaluate_model
 from .paths import PathParseError, PathSet, load_manifest, synth_path
 from .spectra import (
     FTConfig, KGrid, KSpectrum, SpectrumError, TransformConfigError, atomic_write,
-    check_k_range, load_data, transform_k_to_r, write_chi_file,
+    check_k_range, chi_file_lines, load_data, transform_k_to_r,
 )
 
 MODES = ("fit", "cutoff-sweep", "error-analysis", "synth", "benchmark")
@@ -275,19 +276,12 @@ def load_inputs(cfg: RunConfig) -> tuple[PathSet, KSpectrum, list[GeneSpec]]:
     return paths, data, gene_specs(cfg, len(paths))
 
 
-def _write_lines(out: str, name: str, lines) -> str:
-    """Write text lines to out/name atomically; returns the path."""
-    path = os.path.join(out, name)
-    atomic_write(path, "\n".join(lines) + "\n")
-    return path
-
-
-def _write_csv(out: str, name: str, header: str, rows) -> str:
-    """CSV with every float at full precision (%.17g) and other cells as str."""
+def _csv(header: str, rows) -> list[str]:
+    """CSV lines with every float at full precision (%.17g) and other cells as str."""
     def cell(v) -> str:
         return f"{v:.17g}" if isinstance(v, float) else str(v)
 
-    return _write_lines(out, name, [header, *(",".join(map(cell, row)) for row in rows)])
+    return [header, *(",".join(map(cell, row)) for row in rows)]
 
 
 def _chromosome_lines(chrom: Chromosome, labels) -> list[str]:
@@ -297,7 +291,9 @@ def _chromosome_lines(chrom: Chromosome, labels) -> list[str]:
     return [f"{name} = {g:.6g}" for name, g in zip(names, chrom.to_genes())]
 
 
-def _write_fit_artifacts(out: str, cfg: RunConfig, data, paths, result) -> list[str]:
+def _run_fit(cfg: RunConfig) -> dict[str, list[str]]:
+    paths, data, specs = load_inputs(cfg)
+    result = run_ga(data, paths, cfg.ga, cfg.fitness, specs)
     model = evaluate_model(paths, result.best, cfg.grid)
     r_model = transform_k_to_r(model, cfg.fitness.ft)
     r_data = transform_k_to_r(data, cfg.fitness.ft)
@@ -319,73 +315,49 @@ def _write_fit_artifacts(out: str, cfg: RunConfig, data, paths, result) -> list[
         + json.dumps(result.metrics_k.get("unweighted", {})),
         "metrics (R-space magnitude): " + json.dumps(result.metrics_r),
     ]
-    return [
-        _write_csv(out, "model_k.csv", "k,chi_data,chi_model",
-                   zip(cfg.grid.ks, data.chi, model.chi)),
-        _write_csv(out, "model_r.csv", "r,re_model,im_model,mag_model,mag_data",
-                   ((r, c.real, c.imag, abs(c), mag)
-                    for r, c, mag in zip(r_model.r, r_model.chi_r, r_data.magnitude))),
-        _write_csv(out, "traces.csv", ",".join(traces.dtype.names), traces.tolist()),
-        _write_lines(out, "summary.txt", summary),
-    ]
+    return {
+        "model_k.csv": _csv("k,chi_data,chi_model", zip(cfg.grid.ks, data.chi, model.chi)),
+        "model_r.csv": _csv("r,re_model,im_model,mag_model,mag_data",
+                            ((r, c.real, c.imag, abs(c), mag)
+                             for r, c, mag in zip(r_model.r, r_model.chi_r, r_data.magnitude))),
+        "traces.csv": _csv(",".join(traces.dtype.names), traces.tolist()),
+        "summary.txt": summary,
+    }
 
 
-def _run_fit(cfg: RunConfig, out: str) -> list[str]:
-    paths, data, specs = load_inputs(cfg)
-    result = run_ga(data, paths, cfg.ga, cfg.fitness, specs)
-    return _write_fit_artifacts(out, cfg, data, paths, result)
-
-
-def _run_synth(cfg: RunConfig, out: str) -> list[str]:
+def _run_synth(cfg: RunConfig) -> dict[str, list[str]]:
     paths = build_paths(cfg)
     if cfg.truth is None:
         raise ConfigError("synth mode requires a [synth] section with truth parameters")
     spec = synth_generate(paths, cfg.truth, cfg.grid, cfg.snr, seed=cfg.synth_seed)
-    p = os.path.join(out, "synthetic_chi.dat")
     header = f"synthetic spectrum (snr={cfg.snr}, seed={cfg.synth_seed})"
-    write_chi_file(p, cfg.grid.ks, spec.chi, header=header)
-    return [p]
+    return {"synthetic_chi.dat": chi_file_lines(cfg.grid.ks, spec.chi, header)}
 
 
-def _run_cutoff_sweep(cfg: RunConfig, out: str) -> list[str]:
+def _run_cutoff_sweep(cfg: RunConfig) -> dict[str, list[str]]:
     paths, data, specs = load_inputs(cfg)
-    rows = cutoff_sweep(
-        data,
-        paths,
-        cfg.ga,
-        cfg.fitness,
-        cfg.cutoff_percents,
-        gene_specs=specs,
-        n_repeat=cfg.cutoff_repeats,
-        gene_spec_builder=lambda n: gene_specs(cfg, n),
-    )
-    return [_write_csv(out, "cutoff_sweep.csv", "percent,mean_chi2,n_paths_kept",
-                       ((r["percent"], r["mean_chi2"], r["n_paths_kept"]) for r in rows))]
+    rows = cutoff_sweep(data, paths, cfg.ga, cfg.fitness, cfg.cutoff_percents,
+                        gene_specs=specs, n_repeat=cfg.cutoff_repeats,
+                        gene_spec_builder=lambda n: gene_specs(cfg, n))
+    return {"cutoff_sweep.csv": _csv("percent,mean_chi2,n_paths_kept",
+                                     ((r["percent"], r["mean_chi2"], r["n_paths_kept"])
+                                      for r in rows))}
 
 
-def _run_error_analysis(cfg: RunConfig, out: str) -> list[str]:
+def _run_error_analysis(cfg: RunConfig) -> dict[str, list[str]]:
     paths, data, specs = load_inputs(cfg)
-    report = error_analysis(
-        data,
-        paths,
-        cfg.ga,
-        cfg.fitness,
-        n_runs=cfg.error_runs,
-        ranges=cfg.error_ranges,
-        seed=cfg.ga.rng_seed,
-        gene_specs=specs,
-    )
+    report = error_analysis(data, paths, cfg.ga, cfg.fitness, n_runs=cfg.error_runs,
+                            ranges=cfg.error_ranges, seed=cfg.ga.rng_seed, gene_specs=specs)
     names = report.parameter_names
-    return [
-        _write_csv(out, "error_report.csv", "parameter,mean,std",
-                   zip(names, report.means, report.stds)),
-        _write_csv(out, "covariance.csv", "," + ",".join(names),
-                   ((n, *row) for n, row in zip(names, report.covariance))),
-        _write_csv(out, "run_manifest.csv",
-                   "run,population,generations,mutation_rate,seed,best_fitness",
-                   ((e["run"], e["population"], e["generations"], e["mutation_rate"],
-                     e["seed"], str(e.get("best_fitness", "failed"))) for e in report.manifest)),
-    ]
+    return {
+        "error_report.csv": _csv("parameter,mean,std", zip(names, report.means, report.stds)),
+        "covariance.csv": _csv("," + ",".join(names),
+                               ((n, *row) for n, row in zip(names, report.covariance))),
+        "run_manifest.csv": _csv(
+            "run,population,generations,mutation_rate,seed,best_fitness",
+            ((e["run"], e["population"], e["generations"], e["mutation_rate"],
+              e["seed"], str(e.get("best_fitness", "failed"))) for e in report.manifest)),
+    }
 
 
 def benchmark_scaling(
@@ -422,15 +394,15 @@ def benchmark_scaling(
     return rows
 
 
-def _run_benchmark(cfg: RunConfig, out: str) -> list[str]:
+def _run_benchmark(cfg: RunConfig) -> dict[str, list[str]]:
     rows = benchmark_scaling(cfg, cfg.benchmark_n_paths, cfg.benchmark_generations)
-    return [_write_csv(out, "benchmark.csv", "n_paths,seconds_per_generation", rows)]
+    return {"benchmark.csv": _csv("n_paths,seconds_per_generation", rows)}
 
 
 def run(cfg: RunConfig) -> list[str]:
-    """Execute the configured mode; returns the artifact file list."""
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    """Execute the configured mode, then make the output directory and write
+    the mode's artifacts and manifest.json into it, each atomically; returns
+    the written paths.  A mode that fails writes nothing."""
     dispatch = {
         "fit": _run_fit,
         "synth": _run_synth,
@@ -438,15 +410,19 @@ def run(cfg: RunConfig) -> list[str]:
         "error-analysis": _run_error_analysis,
         "benchmark": _run_benchmark,
     }
-    files = dispatch[cfg.mode](cfg, out)
+    artifacts = dispatch[cfg.mode](cfg)
     manifest = {
         "mode": cfg.mode,
         "version": __version__,
         "seed": cfg.ga.rng_seed,
-        "artifacts": [os.path.basename(f) for f in files],
+        "artifacts": list(artifacts),
     }
-    manifest_text = json.dumps(manifest, indent=2, sort_keys=True)
-    return files + [_write_lines(out, "manifest.json", [manifest_text])]
+    artifacts["manifest.json"] = [json.dumps(manifest, indent=2, sort_keys=True)]
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    files = [os.path.join(cfg.output_dir, name) for name in artifacts]
+    for path, lines in zip(files, artifacts.values()):
+        atomic_write(path, "\n".join(lines) + "\n")
+    return files
 
 
 def main(argv=None) -> int:

@@ -238,13 +238,23 @@ def crossover_or(parent_a, parent_b, codec: GeneCodec) -> np.ndarray:
     return codec.decode(codec.encode(parent_a) | codec.encode(parent_b))
 
 
+def _redraw(individual, sigma: float, codec: GeneCodec, rng: np.random.Generator,
+            first: int = 0, every: bool = False) -> np.ndarray:
+    """individual with its genes first.. redrawn from one codec.random(rng)
+    row: every one of them when every, else each with probability sigma%.
+    Draws the per-gene mask (unless every), then the row."""
+    redraw = np.arange(codec.n_genes) >= first
+    if not every:
+        redraw[first:] = rng.uniform(0.0, 100.0, codec.n_genes - first) < sigma
+    return np.where(redraw, codec.random(rng), individual)
+
+
 def mutate_maximum(
     individual, sigma: float, codec: GeneCodec, rng: np.random.Generator
 ) -> np.ndarray:
-    """Replace the whole chromosome with a fresh random one with probability sigma%."""
-    if rng.uniform(0.0, 100.0) < sigma:
-        return codec.random(rng)
-    return np.asarray(individual).copy()
+    """Replace the whole chromosome with a fresh random one with probability
+    sigma%: mutate_nested with every gene regenerated."""
+    return mutate_nested(individual, sigma, codec, rng, force_inner=True)
 
 
 def mutate_nested(
@@ -257,17 +267,11 @@ def mutate_nested(
     """Two-level mutation: an outer draw gates per-gene regeneration draws.
 
     With force_inner=True the per-gene draws are skipped and every gene is
-    regenerated, which reduces this operator to mutate_maximum.
+    regenerated, which is mutate_maximum.
     """
-    individual = np.asarray(individual).copy()
     if rng.uniform(0.0, 100.0) >= sigma:
-        return individual
-    if force_inner:
-        mask = np.ones(codec.n_genes, dtype=bool)
-    else:
-        mask = rng.uniform(0.0, 100.0, codec.n_genes) < sigma
-    fresh = codec.random(rng)
-    return np.where(mask, fresh, individual)
+        return np.array(individual)
+    return _redraw(individual, sigma, codec, rng, every=force_inner)
 
 
 def cooling_rate(delta_f: float, i: int, i_max: int) -> float:
@@ -275,16 +279,6 @@ def cooling_rate(delta_f: float, i: int, i_max: int) -> float:
     if i <= 0 or i >= i_max:
         return float("nan")
     return -delta_f / math.log(1.0 - i / i_max)
-
-
-def _mutate_path_genes(
-    individual: np.ndarray, sigma: float, codec: GeneCodec, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-gene regeneration of the scattering-path genes (index >= 1)."""
-    mask = np.zeros(codec.n_genes, dtype=bool)
-    mask[1:] = rng.uniform(0.0, 100.0, codec.n_genes - 1) < sigma
-    fresh = codec.random(rng)
-    return np.where(mask, fresh, individual)
 
 
 def mutate_metropolis(
@@ -305,7 +299,7 @@ def mutate_metropolis(
     individual = np.asarray(individual).copy()
     if rng.uniform(0.0, 100.0) >= sigma:
         return individual, f_orig
-    mutant = _mutate_path_genes(individual, sigma, codec, rng)
+    mutant = _redraw(individual, sigma, codec, rng, first=1)
     if np.array_equal(mutant, individual):
         return individual, f_orig
     f_mut = fitness_fn(mutant)

@@ -142,7 +142,7 @@ class ModelEvaluator:
         self._cache_size = cache_size
 
     def _tables(self, delta_e0: float):
-        key = round(float(delta_e0), 12)
+        key = float(delta_e0)
         hit = self._cache.get(key)
         if hit is not None:
             return hit

@@ -30,9 +30,16 @@ class TransformConfigError(ValueError):
     """Invalid Fourier-transform configuration."""
 
 
+# Most points a KGrid may hold.  The largest grid of the tests, demos and
+# benchmark workloads holds 1201.
+MAX_GRID_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class KGrid:
-    """Uniform wavenumber grid [k_min, k_max] with spacing delta_k."""
+    """Uniform wavenumber grid k_min + i*delta_k, i in [0, n_points), of the
+    whole steps from k_min that do not pass k_max (within 1e-9 of a step),
+    at most MAX_GRID_POINTS (4096) of them."""
 
     k_min: float
     k_max: float
@@ -49,10 +56,14 @@ class KGrid:
             raise SpectrumError("delta_k must be positive")
         if not math.isfinite((self.k_max - self.k_min) / self.delta_k):
             raise SpectrumError("(k_max - k_min) / delta_k overflows")
+        if self.n_points > MAX_GRID_POINTS:
+            raise SpectrumError(
+                f"grid has {self.n_points} points, more than {MAX_GRID_POINTS}"
+            )
 
     @property
     def n_points(self) -> int:
-        return int(round((self.k_max - self.k_min) / self.delta_k)) + 1
+        return int(math.floor((self.k_max - self.k_min) / self.delta_k + 1e-9)) + 1
 
     @cached_property
     def ks(self) -> np.ndarray:
@@ -322,8 +333,13 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
+def chi_file_lines(k: np.ndarray, chi: np.ndarray, header: str = "") -> list[str]:
+    """Lines of a two-column (k, chi) text file: each header line as a '#'
+    comment, a '# k chi' line, then one row per point at full precision."""
+    lines = [f"# {line}" for line in header.splitlines()] + ["# k chi"]
+    return lines + [f"{ki:.17g} {ci:.17g}" for ki, ci in zip(k, chi)]
+
+
 def write_chi_file(path, k: np.ndarray, chi: np.ndarray, header: str = "") -> None:
     """Write a two-column (k, chi) text file, atomically."""
-    lines = [f"# {line}" for line in header.splitlines()] + ["# k chi"]
-    lines += [f"{ki:.17g} {ci:.17g}" for ki, ci in zip(k, chi)]
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(chi_file_lines(k, chi, header)) + "\n")

@@ -339,6 +339,29 @@ class TestMainErrors:
         )
         assert main(["fit", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("mode, code", [
+        ("fit", 1), ("cutoff-sweep", 1), ("error-analysis", 1), ("synth", 2),
+    ])
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, mode, code):
+        # A data file that does not exist, or (synth) no [synth] truth.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, FIT_CONFIG.format(out=out, data=tmp_path / "missing.dat"))
+        assert main([mode, "--config", cfg]) == code
+        assert not out.exists()
+
+    def test_grid_too_large_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = SYNTH_CONFIG.format(out=out).replace("k_max = 12.5", "k_max = 1e12")
+        assert main(["synth", "--config", write_config(tmp_path, text)]) == 2
+        assert "config error: grid has" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_dir_that_cannot_be_made_fails_after_the_run(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        cfg = write_config(tmp_path, SYNTH_CONFIG.format(out=out))
+        assert main(["synth", "--config", cfg]) == 1
+
 
 def no_fit(*args, **kwargs):
     raise AssertionError("a fit ran")

@@ -237,6 +237,16 @@ class TestModelEvaluator:
         second, _ = ev.evaluate_genes(genes)
         assert np.array_equal(first, second)
 
+    def test_cache_is_keyed_by_the_exact_delta_e0(self):
+        # 1.5 + 2e-13 is not the float 1.5, so it gets a table of its own.
+        grid = KGrid(0.5, 12.0, 0.05)
+        ps = PathSet(paths=(synth_path(2.5, 12, grid, label="p"),))
+        ev = ModelEvaluator(ps, grid)
+        ev.evaluate_genes(np.array([1.5, 0.8, 0.004, 0.02]))
+        genes = np.array([1.5 + 2e-13, 0.8, 0.004, 0.02])
+        cached, _ = ev.evaluate_genes(genes)
+        assert np.array_equal(cached, ModelEvaluator(ps, grid).evaluate_genes(genes)[0])
+
     @pytest.mark.parametrize("delta_e0", [-5.0, 10.0, 12.0**2 / EV_TO_KSQ + 1.0])
     def test_first_counts_the_invalid_points(self, delta_e0):
         # None, some and all of the grid's points invalid.

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exafsga.spectra import (
+    MAX_GRID_POINTS,
     FTConfig,
     KGrid,
     KSpectrum,
@@ -11,6 +12,7 @@ from exafsga.spectra import (
     TransformConfigError,
     check_k_range,
     k_to_r_map,
+    load_data,
     read_chi_file,
     resample_onto,
     transform_k_to_r,
@@ -69,6 +71,31 @@ class TestKGrid:
     def test_point_count_overflow_rejected(self):
         with pytest.raises(SpectrumError, match="overflows"):
             KGrid(0.0, 1e300, 1e-300)
+
+    def test_point_count_bound(self):
+        assert MAX_GRID_POINTS == 4096
+        assert KGrid(0.0, 4095.0, 1.0).n_points == MAX_GRID_POINTS
+        for k_max in (4096.0, 1e12):
+            with pytest.raises(SpectrumError, match="more than 4096"):
+                KGrid(0.0, k_max, 1.0)
+
+    @pytest.mark.parametrize("k_min, k_max, delta_k, n", [
+        (0.5, 12.5, 0.05, 241), (0.5, 13.0, 0.05, 251), (0.0, 12.0, 0.5, 25),
+        (0.5, 12.5, 0.0702, 171),
+    ])
+    def test_last_point_never_passes_k_max(self, k_min, k_max, delta_k, n):
+        g = KGrid(k_min, k_max, delta_k)
+        assert g.n_points == n
+        assert g.ks[-1] <= k_max + 1e-9 * delta_k
+
+    def test_data_ending_at_k_max_covers_the_grid(self, tmp_path):
+        # A grid whose span is not a whole number of steps stops short of
+        # k_max, so data that ends at k_max is interpolated, not clamped.
+        k = np.linspace(0.5, 12.5, 12001)
+        write_chi_file(tmp_path / "sin.dat", k, np.sin(k))
+        grid = KGrid(0.5, 12.5, 0.0702)
+        data = load_data(tmp_path / "sin.dat", grid)
+        np.testing.assert_allclose(data.chi, np.sin(grid.ks), rtol=0, atol=1e-6)
 
     def test_chi_length_checked(self, grid):
         with pytest.raises(SpectrumError):
