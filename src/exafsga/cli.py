@@ -214,7 +214,10 @@ def parse_config(path: str) -> RunConfig:
         kwargs[field] = (kwargs[field], value) if field in kwargs else value
     if fields["run"]["mode"] not in MODES:
         raise ConfigError(f"[run] mode must be one of {MODES}, got {fields['run']['mode']!r}")
-    grid = KGrid(**fields["grid"])
+    try:
+        grid = KGrid(**fields["grid"])
+    except SpectrumError as exc:
+        raise ConfigError(f"[grid] {exc}") from None
     fitness = FitnessConfig(ft=FTConfig(**fields["ft"]), **fields["fitness"])
     try:
         check_k_range(fitness.ft, grid)

@@ -52,6 +52,10 @@ def chi2(model: np.ndarray, data: np.ndarray, config: FitnessConfig) -> float:
     whose squares underflow to a zero sum return the smallest positive double
     instead, so a wrong fit never ties with an exact one; every nonzero sum is
     returned unchanged.
+
+    Where epsilon or n_indep/N is 1, dividing or multiplying by it is an
+    exact no-op and is skipped; np.add.reduce is the pairwise sum np.sum
+    makes, so the value equals the formula's bit for bit.
     """
     model = np.asarray(model, dtype=float)
     data = np.asarray(data, dtype=float)
@@ -60,9 +64,13 @@ def chi2(model: np.ndarray, data: np.ndarray, config: FitnessConfig) -> float:
     n = model.size
     if n == 0:
         raise FitnessError("zero-length fit range")
-    n_indep = n if config.n_indep is None else min(config.n_indep, n)
-    resid = (model - data) / config.epsilon
-    value = float(n_indep / n * np.sum(resid**2))
+    resid = model - data
+    if config.epsilon != 1.0:
+        resid /= config.epsilon
+    value = np.add.reduce(resid * resid)
+    if config.n_indep is not None and config.n_indep < n:
+        value = config.n_indep / n * value
+    value = float(value)
     if value == 0.0 and not np.array_equal(model, data):
         return float(np.finfo(float).smallest_subnormal)
     return value

@@ -239,13 +239,12 @@ def crossover_or(parent_a, parent_b, codec: GeneCodec) -> np.ndarray:
 
 
 def _redraw(individual, sigma: float, codec: GeneCodec, rng: np.random.Generator,
-            first: int = 0, every: bool = False) -> np.ndarray:
-    """individual with its genes first.. redrawn from one codec.random(rng)
-    row: every one of them when every, else each with probability sigma%.
-    Draws the per-gene mask (unless every), then the row."""
-    redraw = np.arange(codec.n_genes) >= first
-    if not every:
-        redraw[first:] = rng.uniform(0.0, 100.0, codec.n_genes - first) < sigma
+            first: int = 0) -> np.ndarray:
+    """individual with each of its genes first.. redrawn, with probability
+    sigma%, from one codec.random(rng) row.  Draws the per-gene mask, then
+    the row."""
+    redraw = np.zeros(codec.n_genes, dtype=bool)
+    redraw[first:] = rng.uniform(0.0, 100.0, codec.n_genes - first) < sigma
     return np.where(redraw, codec.random(rng), individual)
 
 
@@ -267,11 +266,13 @@ def mutate_nested(
     """Two-level mutation: an outer draw gates per-gene regeneration draws.
 
     With force_inner=True the per-gene draws are skipped and every gene is
-    regenerated, which is mutate_maximum.
+    regenerated, which is mutate_maximum: the mutant is one codec.random row.
     """
     if rng.uniform(0.0, 100.0) >= sigma:
         return np.array(individual)
-    return _redraw(individual, sigma, codec, rng, every=force_inner)
+    if force_inner:
+        return codec.random(rng)
+    return _redraw(individual, sigma, codec, rng)
 
 
 def cooling_rate(delta_f: float, i: int, i_max: int) -> float:
@@ -300,7 +301,7 @@ def mutate_metropolis(
     if rng.uniform(0.0, 100.0) >= sigma:
         return individual, f_orig
     mutant = _redraw(individual, sigma, codec, rng, first=1)
-    if np.array_equal(mutant, individual):
+    if not (mutant != individual).any():
         return individual, f_orig
     f_mut = fitness_fn(mutant)
     if f_mut < f_orig:
@@ -348,28 +349,29 @@ def evolve(
     codec = GeneCodec(gene_specs)
     memo: dict[bytes, float] = {}  # this generation's scored gene vectors
 
+    def score_one(genes: np.ndarray, generation: int, individual: int) -> float:
+        """Fitness of one gene row, individual being its population index."""
+        key = genes.tobytes()
+        fitness = memo.get(key)
+        if fitness is None:
+            try:
+                fitness = float(objective(genes))
+            except ValueError as exc:
+                raise GAError(
+                    f"fitness evaluation failed at generation {generation}, "
+                    f"individual {individual}: {exc}"
+                ) from exc
+            if not math.isfinite(fitness):
+                raise GAError(
+                    f"fitness {fitness} at generation {generation}, "
+                    f"individual {individual}, genes {genes.tolist()}"
+                )
+            memo[key] = fitness
+        return fitness
+
     def score(rows, generation: int, index) -> np.ndarray:
         """Fitness of each gene row; index holds the rows' population indices."""
-        fits = []
-        for individual, genes in zip(index, rows):
-            key = genes.tobytes()
-            fitness = memo.get(key)
-            if fitness is None:
-                try:
-                    fitness = float(objective(genes))
-                except ValueError as exc:
-                    raise GAError(
-                        f"fitness evaluation failed at generation {generation}, "
-                        f"individual {individual}: {exc}"
-                    ) from exc
-                if not math.isfinite(fitness):
-                    raise GAError(
-                        f"fitness {fitness} at generation {generation}, "
-                        f"individual {individual}, genes {genes.tolist()}"
-                    )
-                memo[key] = fitness
-            fits.append(fitness)
-        return np.array(fits)
+        return np.array([score_one(g, generation, i) for i, g in zip(index, rows)])
 
     rng = np.random.default_rng(ga_config.rng_seed)
     pop_size = ga_config.population_size
@@ -423,7 +425,7 @@ def evolve(
             for idx in range(n_elite, pop_size):
                 pop[idx], fits[idx] = mutate_metropolis(
                     pop[idx], sigma, fits[idx], k_cool, rng,
-                    lambda g: score([g], gen, [idx])[0], codec,
+                    lambda g: score_one(g, gen, idx), codec,
                 )
         else:
             # No draw depends on a score: draw all mutants, then score the changed.

@@ -48,7 +48,7 @@ def shift_k(grid: KGrid, delta_e0: float) -> tuple[np.ndarray, np.ndarray]:
     """
     radicand = grid.ks**2 - EV_TO_KSQ * delta_e0
     valid = radicand > 0
-    return np.sqrt(np.clip(radicand, 0.0, None)), valid
+    return np.sqrt(np.maximum(radicand, 0.0)), valid
 
 
 def path_contribution(
@@ -110,7 +110,8 @@ class ModelEvaluator:
         self.paths = paths
         self.grid = grid
         self.n_paths = len(paths)
-        self._start, self._stop, step = points.indices(grid.n_points)
+        self._n_points = grid.n_points
+        self._start, self._stop, step = points.indices(self._n_points)
         if step != 1 or self._start >= self._stop:
             raise ModelError(f"points {points} is not a nonempty slice of step 1")
         self.deg = np.array([p.degeneracy for p in paths])
@@ -190,7 +191,7 @@ class ModelEvaluator:
     def _gather(kt, fp, slope, x):
         """np.interp(x, kt, fp) along the last axis of fp, with x within 1e-9
         of [kt[0], kt[-1]] clamped to the end values as np.interp does."""
-        x = np.clip(x, kt[0], kt[-1])
+        x = np.minimum(np.maximum(x, kt[0]), kt[-1])
         j = np.searchsorted(kt, x, side="right") - 1
         out = np.take(slope, j, axis=-1)
         out *= x - kt[j]
@@ -228,8 +229,8 @@ class ModelEvaluator:
         [delta_e0, (s02, sigma2, delta_r) per path]; chi is 0 at invalid
         points and outside points."""
         terms, first, used = self._terms(np.asarray(genes, dtype=float))
-        out = np.zeros(self.grid.n_points)
-        out[used] = terms.sum(axis=0)
+        out = np.zeros(self._n_points)
+        np.add.reduce(terms, axis=0, out=out[used])
         return out, first
 
     def evaluate_paths(self, genes) -> tuple[np.ndarray, int]:
@@ -239,6 +240,6 @@ class ModelEvaluator:
         if genes.size != 1 + 3 * self.n_paths:
             raise ModelError(f"{genes.size} genes for {self.n_paths} paths")
         terms, first, used = self._terms(genes)
-        out = np.zeros((self.n_paths, self.grid.n_points))
+        out = np.zeros((self.n_paths, self._n_points))
         out[:, used] = terms
         return out, first

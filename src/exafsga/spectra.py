@@ -178,20 +178,31 @@ class KToRMap:
     Re M[m] and Im M[m] on the support's columns, so chi is never cast to
     complex and the product's memory already is chi(r) as complex numbers.
     r, support and A are read-only.
+
+    The support is one contiguous run of grid points: the window is positive
+    strictly inside k_range, and each transformed point n*delta_k reads the
+    two adjacent grid points around it.  The map checks that once, when it
+    is built, and reads chi through the slice the run spans.
     """
 
-    __slots__ = ("r", "support", "matrix")
+    __slots__ = ("r", "support", "matrix", "_columns")
 
     def __init__(self, r: np.ndarray, support: np.ndarray, matrix: np.ndarray):
         self.r, self.support, self.matrix = r, support, matrix
+        cols = np.flatnonzero(support)
+        start = int(cols[0]) if cols.size else 0
+        if cols.size and cols[-1] - start + 1 != cols.size:
+            raise TransformConfigError("k->r support is not one contiguous run of grid points")
+        self._columns = slice(start, start + cols.size)
 
     def __call__(self, chi: np.ndarray) -> np.ndarray:
         """Complex chi(r) on self.r of a float chi(k) array on the map's grid.
 
-        Nothing is checked: a chi of the wrong length raises IndexError, and a
-        non-finite chi gives a non-finite chi(r).  transform_k_to_r is the
-        checked, spectrum-level call."""
-        return (self.matrix @ chi[self.support]).view(np.complex128)
+        Nothing is checked: chi is read on the support's columns (a chi too
+        short for them fails in the product), and a non-finite chi gives a
+        non-finite chi(r).  transform_k_to_r is the checked, spectrum-level
+        call."""
+        return (self.matrix @ chi[self._columns]).view(np.complex128)
 
 
 @lru_cache(maxsize=16)

@@ -349,11 +349,15 @@ class TestMainErrors:
         assert main([mode, "--config", cfg]) == code
         assert not out.exists()
 
-    def test_grid_too_large_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("k_max, reason", [
+        ("1e12", "grid has 19999999999991 points, more than 4096"),
+        ("0.2", "k_max must exceed k_min"),
+    ])
+    def test_bad_grid_is_config_error_naming_grid(self, tmp_path, capsys, k_max, reason):
         out = tmp_path / "out"
-        text = SYNTH_CONFIG.format(out=out).replace("k_max = 12.5", "k_max = 1e12")
+        text = SYNTH_CONFIG.format(out=out).replace("k_max = 12.5", f"k_max = {k_max}")
         assert main(["synth", "--config", write_config(tmp_path, text)]) == 2
-        assert "config error: grid has" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: [grid] {reason}\n"
         assert not out.exists()
 
     def test_output_dir_that_cannot_be_made_fails_after_the_run(self, tmp_path):

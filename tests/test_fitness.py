@@ -81,6 +81,22 @@ class TestChi2:
         assert val >= 0.0
         assert (val == 0.0) == bool(np.all(m == d))
 
+    @pytest.mark.parametrize("epsilon", [1.0, 0.3])
+    @pytest.mark.parametrize("drop", [None, 5])
+    @pytest.mark.parametrize("m, d", [
+        (np.random.default_rng(1).normal(size=201), np.random.default_rng(2).normal(size=201)),
+        (np.linspace(-3.0, 40.0, 37), np.zeros(37)),
+        (np.zeros(10), np.full(10, 9.03885534e-288)),
+    ])
+    def test_equals_the_formula_bit_for_bit(self, m, d, epsilon, drop):
+        n_indep = None if drop is None else m.size - drop
+        cfg = FitnessConfig(ft=FTConfig(k_range=(2, 11)), n_indep=n_indep, epsilon=epsilon)
+        n = m.size
+        expected = float((n_indep or n) / n * np.sum(((m - d) / epsilon) ** 2))
+        if expected == 0.0:  # the underflow example
+            expected = float(np.finfo(float).smallest_subnormal)
+        assert chi2(m, d, cfg) == expected
+
 
 class TestMetrics:
     def test_exact_fit(self):

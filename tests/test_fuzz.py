@@ -1,17 +1,20 @@
 """Fuzz the three input parsers: each returns a valid object or raises an
-exception class that exafsga defines."""
+exception class that exafsga defines.  Also checks the k->r map's support on
+random grids and transform settings."""
 
 import dataclasses
 import math
 import string
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from exafsga.cli import KEYS, MODES, gene_specs, parse_config
 from exafsga.paths import parse_feff_path
-from exafsga.spectra import read_chi_file
+from exafsga.spectra import (
+    FTConfig, KGrid, TransformConfigError, check_k_range, k_to_r_map, read_chi_file,
+)
 
 # tmp_path is shared by the examples of a test: each rewrites its one file.
 FUZZ = settings(max_examples=200, deadline=None,
@@ -111,3 +114,36 @@ def test_parse_feff_path(lines):
     assert np.all(path.lam > 0)
     for name in ("f_eff", "phase_scatter", "phase_central", "lam", "real_p"):
         assert np.all(np.isfinite(getattr(path, name))), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_min=st.floats(0.0, 5.0), delta_k=st.floats(0.01, 0.2), n=st.integers(3, 400),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), sill=st.floats(0.0, 1.0),
+       r_min=st.floats(0.0, 20.0), r_span=st.floats(1.0, 30.0), k_weight=st.integers(0, 3),
+       extra_fft=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_k_to_r_support_is_one_run_read_as_a_slice(k_min, delta_k, n, ends, sill, r_min,
+                                                   r_span, k_weight, extra_fft, seed):
+    grid = KGrid(k_min, k_min + (n - 1) * delta_k, delta_k)
+    a, b = sorted(ends)
+    assume(b - a > 1e-3)
+    span = grid.k_max - grid.k_min
+    k_range = (grid.k_min + a * span, grid.k_min + b * span)
+    # n_fft*delta_k passes the grid's end, and r_range, in units of the r
+    # spacing, holds at least one r-point.
+    n_fft = 2 ** (max(7, math.ceil(math.log2(grid.k_max / delta_k + 2))) + extra_fft)
+    r_step = math.pi / (n_fft * delta_k)
+    ft = FTConfig(k_range=k_range, r_range=(r_min * r_step, (r_min + r_span) * r_step),
+                  k_weight=k_weight, window_sill=sill * (k_range[1] - k_range[0]) / 2,
+                  n_fft=n_fft)
+    check_k_range(ft, grid)
+    try:
+        to_r = k_to_r_map(grid, ft)
+    except TransformConfigError as exc:
+        # No grid sample in k_range.
+        assert "contiguous" not in str(exc)
+        assume(False)
+    cols = np.flatnonzero(to_r.support)
+    assert cols.size == 0 or np.array_equal(cols, np.arange(cols[0], cols[-1] + 1))
+    chi = np.random.default_rng(seed).normal(size=grid.n_points)
+    expected = (to_r.matrix @ chi[to_r.support]).view(np.complex128)
+    assert np.array_equal(to_r(chi).view(np.float64), expected.view(np.float64))

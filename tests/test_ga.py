@@ -204,6 +204,17 @@ class TestMutateMaximum:
         )
         assert abs(hits / n - 0.30) < 0.02
 
+    @pytest.mark.parametrize("sigma", [0.0, 37.0, 100.0])
+    def test_draws_the_gate_then_one_random_row(self, sigma):
+        codec = GeneCodec(default_gene_specs(3))
+        ind = codec.random(np.random.default_rng(9))
+        for seed in range(20):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = mutate_maximum(ind, sigma, codec, rng)
+            expected = codec.random(twin) if twin.uniform(0.0, 100.0) < sigma else ind
+            assert np.array_equal(out, expected)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestMutateNested:
     def test_sigma_zero_identity(self):
@@ -322,6 +333,29 @@ class TestMutateMetropolis:
             )
             accepted += f != 5.0
         assert abs(accepted / n - 0.3) < 0.03
+
+    def test_mutant_equal_to_its_parent_is_not_scored(self):
+        # Two levels per path gene: one proposal in eight redraws all three
+        # path genes to their old values.
+        codec = GeneCodec([GeneSpec("e0", -1.0, 1.0, 0.5)]
+                          + [GeneSpec(f"g{i}", 0.0, 1.0, 1.0) for i in range(3)])
+        ind = np.array([0.5, 1.0, 0.0, 1.0])
+        scored = []
+
+        def fitness_fn(genes):
+            scored.append(genes)
+            return 1.0
+
+        rng = np.random.default_rng(6)
+        unchanged = 0
+        for _ in range(200):
+            out, f = mutate_metropolis(ind, 100.0, 5.0, self.k_cool, rng, fitness_fn, codec)
+            if f == 5.0:
+                unchanged += 1
+                assert np.array_equal(out, ind)
+        assert unchanged > 0
+        assert len(scored) == 200 - unchanged
+        assert all((g != ind).any() for g in scored)
 
     def test_delta_e0_gene_untouched(self):
         rng = np.random.default_rng(5)
@@ -519,6 +553,51 @@ class TestRunGA:
         assert len(scored) <= 4 * len(history)
         assert fitness == objective(genes) == history["best_fitness"][-1]
         assert set(history["best_fitness"]) <= {objective(np.array(c)) for c in scored}
+
+    @pytest.mark.parametrize("mutation", ["maximum", "nested", "metropolis"])
+    def test_each_unscored_vector_scored_once(self, monkeypatch, mutation):
+        """Each generation scores every gene vector it needs that neither the
+        previous population nor an earlier call of the generation scored,
+        and no other.  The objective is one-to-one on the gene grid, so a
+        fitness names its vector; select, called once at the start of every
+        generation after the first, hands over the previous population's."""
+        specs = [GeneSpec(name, 0.0, 3.0, 1.0) for name in "abcd"]
+        generations = [[]]  # the fitnesses each generation's calls returned
+        populations = []  # the fitnesses select saw
+
+        def objective(genes):
+            fitness = float(genes @ [1.0, 4.0, 16.0, 64.0] + 1.0)
+            generations[-1].append(fitness)
+            return fitness
+
+        def recording_select(fits, config):
+            populations.append(set(fits.tolist()))
+            generations.append([])
+            return select(fits, config)
+
+        monkeypatch.setattr(ga, "select", recording_select)
+        cfg = GAConfig(population_size=24, max_generations=8, patience=8,
+                       mutation_method=mutation, crossover_method="or", rng_seed=4)
+        genes, fitness, history, _ = evolve(objective, specs, cfg)
+        assert len(generations) == len(history) == 8
+        assert len(generations[0]) == len(set(generations[0])) == len(populations[0])
+        for g in range(1, len(generations)):
+            calls = generations[g]
+            assert len(calls) == len(set(calls)), f"generation {g + 1} scored a vector twice"
+            assert not set(calls) & populations[g - 1], f"generation {g + 1} rescored"
+            if g < len(populations):
+                assert populations[g] <= populations[g - 1] | set(calls)
+        assert fitness == objective(genes) == history["best_fitness"][-1]
+
+    def test_metropolis_mutant_error_has_context(self):
+        # As in test_mutation_stage_error_has_context: call 37 scores the
+        # first mutant (row 4) of generation 2, here through metropolis.
+        cfg = GAConfig(population_size=20, max_generations=5, initial_mutation_rate=100.0,
+                       mutation_rate_bounds=(1.0, 100.0), mutation_method="metropolis",
+                       rng_seed=0)
+        objective = self.failing_objective(37, ModelError("out of range"))
+        with pytest.raises(GAError, match="generation 2, individual 4: out of range"):
+            evolve(objective, default_gene_specs(1), cfg)
 
     def test_attribution_telescopes(self):
         fx = FitFixture(snr=20)
