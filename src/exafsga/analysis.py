@@ -145,8 +145,9 @@ def cutoff_sweep(
     percents = list(percents)
     if not percents:
         raise AnalysisError("percents must be non-empty")
-    if not all(p >= 0 for p in percents):
-        raise AnalysisError(f"percents must be non-negative, got {percents}")
+    # Above 100 % a cutoff removes every path: reject it before the first fit.
+    if not all(0 <= p <= 100 for p in percents):
+        raise AnalysisError(f"percents must be non-negative and at most 100, got {percents}")
     if n_repeat < 1:
         raise AnalysisError(f"n_repeat must be at least 1, got {n_repeat}")
     if gene_spec_builder is None:

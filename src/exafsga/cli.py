@@ -73,24 +73,27 @@ def _get(cp, section: str, key: str, cast=str, default=None):
         raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}: {exc}") from exc
 
 
-def _number(cast=float, minimum=None):
-    """Cast of one finite number, at least minimum when one is given."""
+def _number(cast=float, minimum=None, maximum=None):
+    """Cast of one finite number, at least minimum and at most maximum when
+    they are given."""
     def parse(raw: str):
         value = cast(raw)
         if not -math.inf < value < math.inf:
             raise ValueError("not a finite number")
         if minimum is not None and value < minimum:
             raise ValueError(f"must be at least {minimum}")
+        if maximum is not None and value > maximum:
+            raise ValueError(f"must be at most {maximum}")
         return value
 
     return parse
 
 
-def _list(cast=float, lengths=None, minimum=None, ordered=False):
-    """Cast of a whitespace- or comma-separated list of finite numbers, each at
-    least minimum: as many as one of lengths (one or more when None), in
-    ascending order if ordered."""
-    number = _number(cast, minimum)
+def _list(cast=float, lengths=None, minimum=None, maximum=None, ordered=False):
+    """Cast of a whitespace- or comma-separated list of finite numbers, each
+    within [minimum, maximum] where given: as many as one of lengths (one or
+    more when None), in ascending order if ordered."""
+    number = _number(cast, minimum, maximum)
 
     def parse(raw: str) -> tuple:
         vals = tuple(number(x) for x in raw.replace(",", " ").split())
@@ -170,7 +173,8 @@ SETTINGS = (
     ("synth", "delta_e0", "delta_e0", _number(), 0.0),
     ("synth", "snr", "snr", _snr, RunConfig.snr),
     ("synth", "seed", "synth_seed", int, RunConfig.synth_seed),
-    ("cutoff", "percents", "cutoff_percents", _list(minimum=0.0), RunConfig.cutoff_percents),
+    ("cutoff", "percents", "cutoff_percents", _list(minimum=0.0, maximum=100.0),
+     RunConfig.cutoff_percents),
     ("cutoff", "repeats", "cutoff_repeats", _number(int, 1), RunConfig.cutoff_repeats),
     ("error", "n_runs", "error_runs", _number(int, 2), RunConfig.error_runs),
     *(("error", name, name, _list(cast, (2,), MIN_HYPER.get(name), ordered=True),

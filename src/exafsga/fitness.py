@@ -137,14 +137,16 @@ class SpectrumObjective:
         ends = np.r_[self._lo, self._hi - 1, np.flatnonzero(self._to_r.support)]
         points = slice(int(ends.min()), int(ends.max()) + 1)
         self._evaluator = ModelEvaluator(paths, self.grid, points=points)
+        self._in_k = config.space in ("K", "K+R")
+        self._in_r = config.space in ("R", "K+R")
 
     def evaluate_genes(self, genes: np.ndarray) -> float:
         chi, first = self._evaluator.evaluate_genes(genes)
         total = 0.0
-        if self.config.space in ("K", "K+R"):
+        if self._in_k:
             m = slice(max(first, self._lo), self._hi)
             total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
-        if self.config.space in ("R", "K+R"):
+        if self._in_r:
             # The evaluator writes an exact 0 at the points the shift invalidates.
             total += chi2(np.abs(self._to_r(chi)), self._data_r, self.config)
         return total

@@ -70,8 +70,11 @@ class GeneCodec:
 
     def random(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Uniform draw from the quantized grid; shape (n_genes,) or (size, n_genes)."""
-        shape = (self.n_genes,) if size is None else (size, self.n_genes)
-        idx = rng.integers(0, self.n_levels, size=shape)
+        if size is None:
+            # The draws of size=(n_genes,), without the cost of checking a size.
+            idx = rng.integers(self.n_levels)
+        else:
+            idx = rng.integers(0, self.n_levels, size=(size, self.n_genes))
         return self.lower + idx * self.step
 
     def encode(self, genes: np.ndarray) -> np.ndarray:
@@ -242,9 +245,13 @@ def _redraw(individual, sigma: float, codec: GeneCodec, rng: np.random.Generator
             first: int = 0) -> np.ndarray:
     """individual with each of its genes first.. redrawn, with probability
     sigma%, from one codec.random(rng) row.  Draws the per-gene mask, then
-    the row."""
+    the row.
+
+    Here and in the mutation gates, 100.0 * rng.random() is the value
+    rng.uniform(0.0, 100.0) computes (0.0 + 100.0*u), bit for bit, from the
+    same draw, without uniform's call overhead."""
     redraw = np.zeros(codec.n_genes, dtype=bool)
-    redraw[first:] = rng.uniform(0.0, 100.0, codec.n_genes - first) < sigma
+    redraw[first:] = 100.0 * rng.random(codec.n_genes - first) < sigma
     return np.where(redraw, codec.random(rng), individual)
 
 
@@ -268,7 +275,7 @@ def mutate_nested(
     With force_inner=True the per-gene draws are skipped and every gene is
     regenerated, which is mutate_maximum: the mutant is one codec.random row.
     """
-    if rng.uniform(0.0, 100.0) >= sigma:
+    if 100.0 * rng.random() >= sigma:
         return np.array(individual)
     if force_inner:
         return codec.random(rng)
@@ -298,7 +305,7 @@ def mutate_metropolis(
     cooling rate.  K <= 0 or non-finite disables thermal acceptance.
     """
     individual = np.asarray(individual).copy()
-    if rng.uniform(0.0, 100.0) >= sigma:
+    if 100.0 * rng.random() >= sigma:
         return individual, f_orig
     mutant = _redraw(individual, sigma, codec, rng, first=1)
     if not (mutant != individual).any():
@@ -345,6 +352,16 @@ def evolve(
     holding one HISTORY_DTYPE record per generation.  A ValueError from the
     objective (every exafsga error is one) or a non-finite fitness raises
     GAError naming the generation and individual; other exceptions propagate.
+
+    Seeded runs are reproducible draw for draw.  After the initial population,
+    each generation draws from its one generator in this order:
+    - per child: its parent pair (_pick_two_parents), then, for uniform
+      crossover, its mask (rng.random(n_genes) < 0.5, as crossover_uniform
+      draws it);
+    - then the random rows (one codec.random block);
+    - then, per non-elite row: the mutation gate; if it fires, the per-gene
+      mask (nested, metropolis), then the fresh row; for a metropolis mutant
+      scored worse than its parent, the acceptance draw.
     """
     codec = GeneCodec(gene_specs)
     memo: dict[bytes, float] = {}  # this generation's scored gene vectors
@@ -393,19 +410,21 @@ def evolve(
         elite = select(fits, ga_config)
         n_elite = elite.size
         n_children = pop_size - n_elite - n_random
+        # Draw child by child (the parent pair, then the uniform mask, as
+        # crossover_uniform draws it), then cross every pair in one block.
+        pairs, draws = [], []
+        for _ in range(n_children):
+            pairs.append(_pick_two_parents(n_elite, rng))
+            if crossover == "uniform":
+                draws.append(rng.random(codec.n_genes))
+        pairs = elite[np.array(pairs, dtype=np.intp).reshape(n_children, 2)]
+        parents_a, parents_b = pop[pairs[:, 0]], pop[pairs[:, 1]]
         if crossover == "uniform":
-            # Each child's mask draw follows its parents' draws: child by child.
-            children = np.empty((n_children, codec.n_genes))
-            for c in range(n_children):
-                i, j = _pick_two_parents(n_elite, rng)
-                children[c] = crossover_uniform(pop[elite[i]], pop[elite[j]], rng)
+            masks = np.array(draws).reshape(n_children, codec.n_genes) < 0.5
+            children = np.where(masks, parents_a, parents_b)
         else:
-            # AND/OR draw nothing but the parents: draw every pair in child
-            # order, then cross all the pairs in one block.
-            pairs = [_pick_two_parents(n_elite, rng) for _ in range(n_children)]
-            pairs = elite[np.array(pairs, dtype=np.intp).reshape(n_children, 2)]
             cross = crossover_and if crossover == "and" else crossover_or
-            children = cross(pop[pairs[:, 0]], pop[pairs[:, 1]], codec)
+            children = cross(parents_a, parents_b, codec)
 
         memo.clear()
         memo.update(zip(map(np.ndarray.tobytes, pop), fits.tolist()))

@@ -118,9 +118,11 @@ class ModelEvaluator:
         self.r_eff = np.array([p.r_eff for p in paths])
         self._kt_lo = np.array([p.k_theory[0] for p in paths])
         self._kt_hi = np.array([p.k_theory[-1] for p in paths])
-        # The theory range each path admits for shifted k, with 1e-9 slack.
+        # The theory range each path admits for shifted k, with 1e-9 slack,
+        # and the range every path admits.
         self._kp_min = self._kt_lo - 1e-9
         self._kp_max = self._kt_hi + 1e-9
+        self._kp_lo, self._kp_hi = float(self._kp_min.max()), float(self._kp_max.min())
         by_grid: dict[bytes, list[int]] = {}
         for i, p in enumerate(paths):
             by_grid.setdefault(p.k_theory.tobytes(), []).append(i)
@@ -153,9 +155,8 @@ class ModelEvaluator:
             # kp is nondecreasing (shift_k): the ends of the valid part are
             # its smallest and largest shifted k.
             lo, hi = kp[first], kp[-1]
-            bad = (lo < self._kp_min) | (hi > self._kp_max)
-            if bad.any():
-                i = int(np.argmax(bad))
+            if lo < self._kp_lo or hi > self._kp_hi:
+                i = int(np.argmax((lo < self._kp_min) | (hi > self._kp_max)))
                 raise ModelError(
                     f"path {self.paths.paths[i].label}: shifted k in [{lo:.3f}, {hi:.3f}]"
                     f" outside theory range [{self._kt_lo[i]:.3f}, {self._kt_hi[i]:.3f}]"
@@ -207,7 +208,7 @@ class ModelEvaluator:
         s02 = genes[1::3]
         sigma2 = genes[2::3]
         r = self.r_eff + genes[3::3]
-        if r.min() <= 0:
+        if np.minimum.reduce(r) <= 0:
             bad = int(np.argmax(r <= 0))
             raise ModelError(
                 f"path {self.paths.paths[bad].label}: r_eff + delta_r = {r[bad]}"

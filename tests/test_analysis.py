@@ -248,6 +248,7 @@ class TestCutoffSweep:
         ((5.0,), 0, "n_repeat must be at least 1"),
         ((5.0, -1.0), 2, "percents must be non-negative"),
         ((float("nan"),), 2, "percents must be non-negative"),
+        ((5.0, 150.0), 2, "at most 100"),
     ])
     def test_arguments_checked_before_any_fit(self, monkeypatch, percents, n_repeat, message):
         def no_fit(*args, **kwargs):

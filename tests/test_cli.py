@@ -377,6 +377,7 @@ class TestMainMalformedValues:
     @pytest.mark.parametrize("mode, section, key, value, reason", [
         ("cutoff-sweep", "cutoff", "repeats", "0", "must be at least 1"),
         ("cutoff-sweep", "cutoff", "percents", "-1", "must be at least 0.0"),
+        ("cutoff-sweep", "cutoff", "percents", "5 150", "must be at most 100.0"),
         ("error-analysis", "error", "n_runs", "1", "must be at least 2"),
         ("synth", "synth", "snr", "0", "must be positive, 'inf' or 'none'"),
         ("benchmark", "benchmark", "n_paths", "0", "must be at least 1"),

@@ -77,6 +77,17 @@ class TestInitPopulation:
         b = codec.random(np.random.default_rng(42), 50)
         assert np.array_equal(a, b)
 
+    def test_one_row_is_a_block_of_one(self):
+        # 3*2^30 levels reject about a quarter of the raw draws, 2^32 none.
+        specs = SPECS + [GeneSpec("wide", 0.0, 3.0 * 2**30 - 1, 1.0),
+                         GeneSpec("full", 0.0, 2.0**32 - 1, 1.0)]
+        codec = GeneCodec(specs)
+        for seed in range(200):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert np.array_equal(codec.random(rng), codec.random(twin, 1)[0])
+            assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_two_level_gene_exhaustive(self):
         specs = [GeneSpec("delta_e0", 0.0, 1.0, 1.0)] + default_gene_specs(1)[1:]
         pop = GeneCodec(specs).random(np.random.default_rng(0), 5000)
@@ -161,6 +172,44 @@ class TestCrossover:
             rows = np.array([cross(pa, pb, codec) for pa, pb in zip(a, b)])
             assert block.shape == a.shape
             assert np.array_equal(block, rows)
+
+    @pytest.mark.parametrize("method", ga.CROSSOVER_METHODS)
+    def test_evolve_draws_each_childs_parents_then_its_mask(self, method):
+        """Generation 2 scores the children and random rows a twin generator
+        makes pair by pair with crossover_uniform or the AND/OR operator.
+        The objective is one-to-one on the 16^8 grid and records each row it
+        scores; rows already scored are skipped, as evolve's memo skips them."""
+        specs = [GeneSpec(f"g{i}", 0.0, 15.0, 1.0) for i in range(8)]
+        codec = GeneCodec(specs)
+        weights = 16.0 ** np.arange(8)
+        calls = []
+
+        def objective(genes):
+            calls.append(genes.tobytes())
+            return float(genes @ weights)
+
+        cfg = GAConfig(population_size=30, max_generations=2, crossover_method=method,
+                       rng_seed=11)
+        evolve(objective, specs, cfg)
+
+        twin = np.random.default_rng(cfg.rng_seed)
+        pop = codec.random(twin, 30)
+        elite = select(pop @ weights, cfg)
+        n_random = int(30 * cfg.random_fraction)
+        children = []
+        for _ in range(30 - elite.size - n_random):
+            i, j = ga._pick_two_parents(elite.size, twin)
+            a, b = pop[elite[i]], pop[elite[j]]
+            if method == "uniform":
+                children.append(crossover_uniform(a, b, twin))
+            else:
+                children.append((crossover_and if method == "and" else crossover_or)(a, b, codec))
+        expected = []
+        for row in [*pop, *children, *codec.random(twin, n_random)]:
+            if row.tobytes() not in expected:
+                expected.append(row.tobytes())
+        assert len(expected) > 40
+        assert calls[:len(expected)] == expected
 
     def test_bit_lattice_bounds(self):
         codec = small_codec()
