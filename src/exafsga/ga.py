@@ -51,6 +51,11 @@ class GeneSpec:
             raise GAError(f"{self.name}: fewer than two quantization levels")
         if spans + 1e-9 >= 2**32:
             raise GAError(f"{self.name}: more than 2^32 quantization levels")
+        # lower + i*step rounds twice, each time by at most half an ulp of
+        # 2*max(|lower|, |upper|): levels stay distinct above two such ulps.
+        if self.step <= 4 * math.ulp(max(abs(self.lower), abs(self.upper))):
+            raise GAError(f"{self.name}: step too fine for the float spacing of the "
+                          "bounds; two levels could decode to one value")
 
     @property
     def n_levels(self) -> int:
@@ -58,7 +63,8 @@ class GeneSpec:
 
 
 class GeneCodec:
-    """Vectorized encode/decode between gene values and quantized indices."""
+    """The genes' quantized grids.  A population holds int64 level indices, one
+    row per individual; decode maps them to the gene values lower + i*step."""
 
     def __init__(self, specs):
         self.specs = tuple(specs)
@@ -69,20 +75,14 @@ class GeneCodec:
         self.n_levels = np.array([s.n_levels for s in self.specs], dtype=np.int64)
 
     def random(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Uniform draw from the quantized grid; shape (n_genes,) or (size, n_genes)."""
+        """Uniform draw of level indices; shape (n_genes,) or (size, n_genes)."""
         if size is None:
             # The draws of size=(n_genes,), without the cost of checking a size.
-            idx = rng.integers(self.n_levels)
-        else:
-            idx = rng.integers(0, self.n_levels, size=(size, self.n_genes))
-        return self.lower + idx * self.step
-
-    def encode(self, genes: np.ndarray) -> np.ndarray:
-        idx = np.rint((np.asarray(genes) - self.lower) / self.step).astype(np.int64)
-        return np.clip(idx, 0, self.n_levels - 1)
+            return rng.integers(self.n_levels)
+        return rng.integers(0, self.n_levels, size=(size, self.n_genes))
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.asarray(idx, dtype=np.int64), 0, self.n_levels - 1)
+        """Gene values of an index row or (n, G) block, row by row."""
         return self.lower + idx * self.step
 
     def contains(self, genes: np.ndarray) -> bool:
@@ -221,24 +221,20 @@ def select(fitnesses: np.ndarray, config: GAConfig) -> np.ndarray:
     return np.argsort(fitnesses, kind="stable")[:n_elite]
 
 
-def crossover_uniform(parent_a, parent_b, rng: np.random.Generator) -> np.ndarray:
-    """Each gene copied from either parent with probability 1/2."""
-    mask = rng.random(len(parent_a)) < 0.5
-    return np.where(mask, parent_a, parent_b)
+def crossover_uniform(parents_a, parents_b, draws) -> np.ndarray:
+    """Per gene, parent a where its draw is below 1/2, else parent b.  All three
+    crossovers take index rows or (n, G) blocks; draws has the parents' shape."""
+    return np.where(draws < 0.5, parents_a, parents_b)
 
 
-def crossover_and(parent_a, parent_b, codec: GeneCodec) -> np.ndarray:
-    """Bitwise AND of the parents' quantized grid indices, per gene.  The
-    parents may be single gene vectors or (n, G) blocks of them, crossed
-    row by row."""
-    return codec.decode(codec.encode(parent_a) & codec.encode(parent_b))
+def crossover_and(parents_a, parents_b, codec: GeneCodec) -> np.ndarray:
+    """Bitwise AND of the parents' level indices; never past the top level, so codec is unused."""
+    return parents_a & parents_b
 
 
-def crossover_or(parent_a, parent_b, codec: GeneCodec) -> np.ndarray:
-    """Bitwise OR of the parents' quantized grid indices, clamped to bounds.
-    The parents may be single gene vectors or (n, G) blocks of them, crossed
-    row by row."""
-    return codec.decode(codec.encode(parent_a) | codec.encode(parent_b))
+def crossover_or(parents_a, parents_b, codec: GeneCodec) -> np.ndarray:
+    """Bitwise OR of the parents' level indices, clamped to the top level."""
+    return np.minimum(parents_a | parents_b, codec.n_levels - 1)
 
 
 def _redraw(individual, sigma: float, codec: GeneCodec, rng: np.random.Generator,
@@ -343,32 +339,35 @@ def _pick_two_parents(pool_size: int, rng: np.random.Generator) -> tuple[int, in
 def evolve(
     objective, gene_specs, ga_config: GAConfig
 ) -> tuple[np.ndarray, float, np.ndarray, str]:
-    """Evolve gene vectors until max_generations or stagnation.
+    """Evolve rows of gene level indices until max_generations or stagnation.
 
-    objective maps one gene vector to its fitness (lower is better) and must
-    be a pure function of the gene vector: within a generation, a vector
-    equal to one already in the population or already scored is not scored
-    again.  Returns (best genes, best fitness, history, exit reason), history
+    Every operator works on int64 index rows (see GeneCodec); the scorer
+    decodes each block it scores once, a metropolis mutant alone.  objective
+    maps one decoded gene vector to its fitness (lower is better) and must be
+    a pure function of it: within a generation, an index row equal to one
+    already in the population or already scored is not scored again.
+    Returns (best genes decoded, best fitness, history, exit reason), history
     holding one HISTORY_DTYPE record per generation.  A ValueError from the
     objective (every exafsga error is one) or a non-finite fitness raises
     GAError naming the generation and individual; other exceptions propagate.
 
-    Seeded runs are reproducible draw for draw.  After the initial population,
-    each generation draws from its one generator in this order:
+    Seeded runs are reproducible draw for draw; drawing indices, not gene
+    values, changed no draw.  After the initial population, each generation
+    draws from its one generator in this order:
     - per child: its parent pair (_pick_two_parents), then, for uniform
-      crossover, its mask (rng.random(n_genes) < 0.5, as crossover_uniform
-      draws it);
+      crossover, its mask draws (rng.random(n_genes), which crossover_uniform
+      compares with 1/2);
     - then the random rows (one codec.random block);
     - then, per non-elite row: the mutation gate; if it fires, the per-gene
       mask (nested, metropolis), then the fresh row; for a metropolis mutant
       scored worse than its parent, the acceptance draw.
     """
     codec = GeneCodec(gene_specs)
-    memo: dict[bytes, float] = {}  # this generation's scored gene vectors
+    memo: dict[bytes, float] = {}  # this generation's scored index rows
 
-    def score_one(genes: np.ndarray, generation: int, individual: int) -> float:
-        """Fitness of one gene row, individual being its population index."""
-        key = genes.tobytes()
+    def score_one(idx, genes: np.ndarray, generation: int, individual: int) -> float:
+        """Fitness of index row idx, decoded to genes, at population index individual."""
+        key = idx.tobytes()
         fitness = memo.get(key)
         if fitness is None:
             try:
@@ -387,8 +386,9 @@ def evolve(
         return fitness
 
     def score(rows, generation: int, index) -> np.ndarray:
-        """Fitness of each gene row; index holds the rows' population indices."""
-        return np.array([score_one(g, generation, i) for i, g in zip(index, rows)])
+        """Fitness of each index row; index holds the rows' population indices."""
+        return np.array([score_one(r, g, generation, i)
+                         for i, r, g in zip(index, rows, codec.decode(rows))])
 
     rng = np.random.default_rng(ga_config.rng_seed)
     pop_size = ga_config.population_size
@@ -410,21 +410,19 @@ def evolve(
         elite = select(fits, ga_config)
         n_elite = elite.size
         n_children = pop_size - n_elite - n_random
-        # Draw child by child (the parent pair, then the uniform mask, as
-        # crossover_uniform draws it), then cross every pair in one block.
+        # Draw child by child (the parent pair, then the uniform mask draws),
+        # then cross every pair in one block.
         pairs, draws = [], []
         for _ in range(n_children):
             pairs.append(_pick_two_parents(n_elite, rng))
             if crossover == "uniform":
                 draws.append(rng.random(codec.n_genes))
         pairs = elite[np.array(pairs, dtype=np.intp).reshape(n_children, 2)]
-        parents_a, parents_b = pop[pairs[:, 0]], pop[pairs[:, 1]]
         if crossover == "uniform":
-            masks = np.array(draws).reshape(n_children, codec.n_genes) < 0.5
-            children = np.where(masks, parents_a, parents_b)
+            cross, operand = crossover_uniform, np.array(draws).reshape(n_children, codec.n_genes)
         else:
-            cross = crossover_and if crossover == "and" else crossover_or
-            children = cross(parents_a, parents_b, codec)
+            cross, operand = (crossover_and if crossover == "and" else crossover_or), codec
+        children = cross(pop[pairs[:, 0]], pop[pairs[:, 1]], operand)
 
         memo.clear()
         memo.update(zip(map(np.ndarray.tobytes, pop), fits.tolist()))
@@ -444,7 +442,7 @@ def evolve(
             for idx in range(n_elite, pop_size):
                 pop[idx], fits[idx] = mutate_metropolis(
                     pop[idx], sigma, fits[idx], k_cool, rng,
-                    lambda g: score_one(g, gen, idx), codec,
+                    lambda m: score_one(m, codec.decode(m), gen, idx), codec,
                 )
         else:
             # No draw depends on a score: draw all mutants, then score the changed.
@@ -473,7 +471,7 @@ def evolve(
 
     best_idx = int(np.argmin(fits))
     history = np.array(history, dtype=HISTORY_DTYPE)
-    return pop[best_idx], float(fits[best_idx]), history, exit_reason
+    return codec.decode(pop[best_idx]), float(fits[best_idx]), history, exit_reason
 
 
 def run_ga(

@@ -410,17 +410,20 @@ class TestPropertySuite:
             nested_eq = nested_eq and np.array_equal(a, b)
         checks["nested-reduction"] = nested_eq
 
-        # AND/OR crossover: idempotent, and bounded by the index lattice
+        # AND/OR crossover: idempotent, bounded by the index lattice and its
+        # top level, and decoding inside the gene bounds
         lattice_ok = True
         rng = np.random.default_rng(1)
         for _ in range(200):
             a, b = mcodec.random(rng), mcodec.random(rng)
-            ia, ib = mcodec.encode(a), mcodec.encode(b)
-            i_and = mcodec.encode(crossover_and(a, b, mcodec))
-            i_or = mcodec.encode(crossover_or(a, b, mcodec))
+            i_and = crossover_and(a, b, mcodec)
+            i_or = crossover_or(a, b, mcodec)
             lattice_ok = lattice_ok and bool(
-                np.all(i_and <= np.minimum(ia, ib))
-                and np.all(i_or >= np.maximum(ia, ib))
+                np.all(i_and <= np.minimum(a, b))
+                and np.all(i_or >= np.maximum(a, b))
+                and np.all(i_or <= mcodec.n_levels - 1)
+                and mcodec.contains(mcodec.decode(i_and))
+                and mcodec.contains(mcodec.decode(i_or))
             )
         lattice_ok = lattice_ok and np.array_equal(crossover_and(a, a, mcodec), a)
         lattice_ok = lattice_ok and np.array_equal(crossover_or(a, a, mcodec), a)

@@ -384,6 +384,8 @@ class TestMainMalformedValues:
         ("benchmark", "benchmark", "n_paths", "", "needs one or more values"),
         ("fit", "genes", "s02", "1.0 0.5 0.005", "s02: lower must be < upper"),
         ("fit", "genes", "s02", "0 1e300 1e-300", "s02: more than 2^32 quantization levels"),
+        ("fit", "genes", "delta_e0", "1e8 100000000.000001 1e-8", "delta_e0: step too fine for "
+         "the float spacing of the bounds; two levels could decode to one value"),
         ("fit", "grid", "k_min", "nan", "not a finite number"),
         ("fit", "grid", "k_max", "inf", "not a finite number"),
         ("fit", "ft", "window_sill", "nan", "not a finite number"),

@@ -174,7 +174,7 @@ class TestSpectrumObjective:
         data_r = np.abs(direct_transform(data, ft)[1])
         k = obj.grid.ks
         codec = GeneCodec(default_gene_specs(2, e0_bounds=(-3.0, 3.0, 0.01)))
-        for genes in codec.random(rng, 4):
+        for genes in codec.decode(codec.random(rng, 4)):
             chi, first = ModelEvaluator(obj.paths, obj.grid).evaluate_genes(genes)
             valid = np.arange(obj.grid.n_points) >= first
             model = KSpectrum(obj.grid, np.where(valid, chi, 0.0))
@@ -222,7 +222,7 @@ class TestRestrictedEvaluation:
         kw = k**obj.config.k_weight
         data_r = transform_k_to_r(obj.data, ft).magnitude
         codec = GeneCodec(default_gene_specs(3, e0_bounds=(-5.0, 5.0, 0.01)))
-        for genes in codec.random(rng, 8):
+        for genes in codec.decode(codec.random(rng, 8)):
             chi, first = full.evaluate_genes(genes)
             valid = np.arange(obj.grid.n_points) >= first
             model_r = transform_k_to_r(KSpectrum(obj.grid, np.where(valid, chi, 0.0)), ft)
@@ -304,7 +304,7 @@ class TestPerRowPath:
     def test_equals_spectrum_level_composition(self, space):
         obj, rng = self.make(space)
         codec = GeneCodec(default_gene_specs(3, e0_bounds=(-20.0, 20.0, 0.01)))
-        rows = codec.random(rng, 40)
+        rows = codec.decode(codec.random(rng, 40))
         rows[0, 0] = self.SHIFT_PAST_FIT_START
         _, valid = shift_k(self.GRID, rows[0, 0])
         fit = (self.GRID.ks >= 2.0) & (self.GRID.ks <= 11.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,27 @@ class TestGeneSpec:
     def test_level_limit_is_inclusive(self):
         assert GeneSpec("x", 0.0, 2.0**32 - 1, 1.0).n_levels == 2**32
 
+    def test_levels_finer_than_the_float_spacing_rejected(self):
+        # 100 levels, which lower + i*step maps to only 67 distinct floats.
+        with pytest.raises(GAError, match="two levels could decode to one value"):
+            GeneSpec("g", 1e8, 1e8 + 1e-6, 1e-8)
+
+    # (lower, magnitude of the larger bound, levels); the last spec's upper
+    # bound lies in the binade above its lower bound.
+    @pytest.mark.parametrize("lower, bound, n", [
+        (1e8, 1e8, 100), (-1e8, 1e8, 100), (2.0**27 - 1e-5, 2.0**27, 300),
+    ])
+    def test_levels_at_the_accepted_edge_decode_strictly_increasing(self, lower, bound, n):
+        edge = 4 * math.ulp(bound)
+        with pytest.raises(GAError, match="two levels could decode to one value"):
+            GeneSpec("g", lower, lower + (n - 1) * edge, edge)
+        step = float(np.nextafter(edge, np.inf))
+        spec = GeneSpec("g", lower, lower + (n - 1) * step, step)
+        assert math.ulp(max(abs(spec.lower), abs(spec.upper))) == math.ulp(bound)
+        assert spec.n_levels in (n - 1, n)
+        values = GeneCodec([spec]).decode(np.arange(spec.n_levels)[:, None])[:, 0]
+        assert np.all(np.diff(values) > 0)
+
 
 class TestInitPopulation:
     """run_ga draws its initial population with GeneCodec.random(rng, size)."""
@@ -69,7 +92,10 @@ class TestInitPopulation:
     def test_bounds(self):
         codec = GeneCodec(SPECS)
         for seed in range(10):
-            assert codec.contains(codec.random(np.random.default_rng(seed), 1000))
+            idx = codec.random(np.random.default_rng(seed), 1000)
+            assert idx.dtype == np.int64
+            assert np.all((idx >= 0) & (idx < codec.n_levels))
+            assert codec.contains(codec.decode(idx))
 
     def test_determinism(self):
         codec = GeneCodec(SPECS)
@@ -90,7 +116,8 @@ class TestInitPopulation:
 
     def test_two_level_gene_exhaustive(self):
         specs = [GeneSpec("delta_e0", 0.0, 1.0, 1.0)] + default_gene_specs(1)[1:]
-        pop = GeneCodec(specs).random(np.random.default_rng(0), 5000)
+        codec = GeneCodec(specs)
+        pop = codec.decode(codec.random(np.random.default_rng(0), 5000))
         values = set(pop[:, 0])
         assert values == {0.0, 1.0}
 
@@ -121,14 +148,14 @@ class TestCrossover:
     def test_uniform_identical_parents(self):
         rng = np.random.default_rng(0)
         p = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(crossover_uniform(p, p, rng), p)
+        assert np.array_equal(crossover_uniform(p, p, rng.random(3)), p)
 
     def test_uniform_membership(self):
         rng = np.random.default_rng(1)
         a = np.zeros(20)
         b = np.ones(20)
         for _ in range(100):
-            child = crossover_uniform(a, b, rng)
+            child = crossover_uniform(a, b, rng.random(20))
             assert np.all((child == 0.0) | (child == 1.0))
 
     def test_uniform_frequency(self):
@@ -137,36 +164,36 @@ class TestCrossover:
         picks = np.zeros(4)
         n = 10_000
         for _ in range(n):
-            picks += crossover_uniform(a, b, rng)
+            picks += crossover_uniform(a, b, rng.random(4))
         freq = picks / n
         assert np.all(np.abs(freq - 0.5) < 0.02)
 
     def test_and_or_idempotent(self):
         codec = small_codec()
-        p = np.array([5.0, 3.0])
+        p = np.array([5, 3])
         assert np.array_equal(crossover_and(p, p, codec), p)
         assert np.array_equal(crossover_or(p, p, codec), p)
 
     def test_and_or_hand_bits(self):
         # indices 5 (0b101) and 3 (0b011): AND -> 1, OR -> 7
         codec = small_codec()
-        a = np.array([5.0, 5.0])
-        b = np.array([3.0, 3.0])
-        assert list(crossover_and(a, b, codec)) == [1.0, 1.0]
-        assert list(crossover_or(a, b, codec)) == [7.0, 7.0]
+        a = np.array([5, 5])
+        b = np.array([3, 3])
+        assert list(crossover_and(a, b, codec)) == [1, 1]
+        assert list(crossover_or(a, b, codec)) == [7, 7]
 
     def test_or_clamped_to_grid(self):
         codec = GeneCodec([GeneSpec("g", 0.0, 6.0, 1.0)])  # indices 0..6
-        child = crossover_or(np.array([5.0]), np.array([3.0]), codec)
-        assert child[0] == 6.0  # OR gives 7, clamped to the top level
+        child = crossover_or(np.array([5]), np.array([3]), codec)
+        assert child[0] == 6  # OR gives 7, clamped to the top level
 
     def test_and_or_blocks_equal_row_by_row(self):
         # Gene 0 has indices 0..6 and gene 1 indices 0..200, so OR reaches
-        # indices past the top level, which decode clamps.
+        # indices past the top level, which crossover_or clamps.
         codec = GeneCodec([GeneSpec("a", 0.0, 6.0, 1.0), GeneSpec("b", -1.0, 1.0, 0.01)])
         rng = np.random.default_rng(4)
         a, b = codec.random(rng, 60), codec.random(rng, 60)
-        assert np.any((codec.encode(a) | codec.encode(b)) > codec.n_levels - 1)
+        assert np.any((a | b) > codec.n_levels - 1)
         for cross in (crossover_and, crossover_or):
             block = cross(a, b, codec)
             rows = np.array([cross(pa, pb, codec) for pa, pb in zip(a, b)])
@@ -176,9 +203,10 @@ class TestCrossover:
     @pytest.mark.parametrize("method", ga.CROSSOVER_METHODS)
     def test_evolve_draws_each_childs_parents_then_its_mask(self, method):
         """Generation 2 scores the children and random rows a twin generator
-        makes pair by pair with crossover_uniform or the AND/OR operator.
-        The objective is one-to-one on the 16^8 grid and records each row it
-        scores; rows already scored are skipped, as evolve's memo skips them."""
+        makes pair by pair with crossover_uniform or the AND/OR operator,
+        decoded.  The objective is one-to-one on the 16^8 grid and records each
+        row it scores; rows already scored are skipped, as evolve's memo skips
+        them."""
         specs = [GeneSpec(f"g{i}", 0.0, 15.0, 1.0) for i in range(8)]
         codec = GeneCodec(specs)
         weights = 16.0 ** np.arange(8)
@@ -194,18 +222,18 @@ class TestCrossover:
 
         twin = np.random.default_rng(cfg.rng_seed)
         pop = codec.random(twin, 30)
-        elite = select(pop @ weights, cfg)
+        elite = select(codec.decode(pop) @ weights, cfg)
         n_random = int(30 * cfg.random_fraction)
         children = []
         for _ in range(30 - elite.size - n_random):
             i, j = ga._pick_two_parents(elite.size, twin)
             a, b = pop[elite[i]], pop[elite[j]]
             if method == "uniform":
-                children.append(crossover_uniform(a, b, twin))
+                children.append(crossover_uniform(a, b, twin.random(codec.n_genes)))
             else:
                 children.append((crossover_and if method == "and" else crossover_or)(a, b, codec))
         expected = []
-        for row in [*pop, *children, *codec.random(twin, n_random)]:
+        for row in codec.decode(np.array([*pop, *children, *codec.random(twin, n_random)])):
             if row.tobytes() not in expected:
                 expected.append(row.tobytes())
         assert len(expected) > 40
@@ -217,11 +245,63 @@ class TestCrossover:
         for _ in range(200):
             a = codec.random(rng)
             b = codec.random(rng)
-            ia, ib = codec.encode(a), codec.encode(b)
-            i_and = codec.encode(crossover_and(a, b, codec))
-            i_or = codec.encode(crossover_or(a, b, codec))
-            assert np.all(i_and <= np.minimum(ia, ib))
-            assert np.all(i_or >= np.maximum(ia, ib))
+            i_and = crossover_and(a, b, codec)
+            i_or = crossover_or(a, b, codec)
+            assert np.all(i_and <= np.minimum(a, b))
+            assert np.all(i_or >= np.maximum(a, b))
+            assert np.all(i_or <= codec.n_levels - 1)
+
+
+class TestIndexPopulation:
+    """evolve holds int64 level indices and hands the objective decoded rows."""
+
+    # Level counts 7, 201 and 201: OR of two indices can pass the top level.
+    SPECS = [GeneSpec("a", 0.0, 6.0, 1.0), GeneSpec("b", -1.0, 1.0, 0.01),
+             GeneSpec("c", 0.1, 0.7, 0.003)]
+
+    @pytest.mark.parametrize("crossover", ga.CROSSOVER_METHODS)
+    @pytest.mark.parametrize("mutation", ga.MUTATION_METHODS)
+    def test_objective_sees_decoded_levels(self, monkeypatch, crossover, mutation):
+        codec = GeneCodec(self.SPECS)
+        top = codec.n_levels - 1
+        seen, children, raw_or = [], [], []
+
+        def objective(genes):
+            seen.append(genes.copy())
+            return float(np.sum((genes - 0.3) ** 2))
+
+        def recording(cross):
+            def crossed(parents_a, parents_b, operand):
+                if cross is crossover_or:
+                    raw_or.append(parents_a | parents_b)
+                children.append(cross(parents_a, parents_b, operand))
+                return children[-1]
+            return crossed
+
+        for cross in (crossover_uniform, crossover_and, crossover_or):
+            monkeypatch.setattr(ga, cross.__name__, recording(cross))
+        cfg = GAConfig(population_size=30, max_generations=6, patience=6,
+                       crossover_method=crossover, mutation_method=mutation,
+                       initial_mutation_rate=50.0, rng_seed=2)
+        genes, _, _, _ = evolve(objective, self.SPECS, cfg)
+
+        assert len(children) == 5
+        for block in children:
+            assert block.dtype == np.int64
+            assert np.all((block >= 0) & (block <= top))
+        if crossover == "or":
+            assert np.any(np.concatenate(raw_or) > top)
+        for g in seen:
+            i = np.rint((g - codec.lower) / codec.step).astype(np.int64)
+            assert np.all((i >= 0) & (i <= top))
+            assert (codec.lower + i * codec.step).tobytes() == g.tobytes()
+        assert genes.tobytes() in {g.tobytes() for g in seen}
+
+    def test_block_decode_equals_row_decodes(self):
+        codec = GeneCodec(default_gene_specs(3) + self.SPECS)
+        idx = codec.random(np.random.default_rng(7), 200)
+        rows = np.array([codec.decode(row) for row in idx])
+        assert codec.decode(idx).tobytes() == rows.tobytes()
 
 
 class TestMutateMaximum:
@@ -388,7 +468,7 @@ class TestMutateMetropolis:
         # path genes to their old values.
         codec = GeneCodec([GeneSpec("e0", -1.0, 1.0, 0.5)]
                           + [GeneSpec(f"g{i}", 0.0, 1.0, 1.0) for i in range(3)])
-        ind = np.array([0.5, 1.0, 0.0, 1.0])
+        ind = np.array([3, 1, 0, 1])  # gene values 0.5, 1.0, 0.0, 1.0
         scored = []
 
         def fitness_fn(genes):
