@@ -22,12 +22,12 @@ from .analysis import (
     DEFAULT_HYPER_RANGES, MIN_HYPER, cutoff_sweep, error_analysis, synth_generate,
 )
 from .fitness import FitnessConfig
-from .ga import Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
+from .ga import GENE_BOUNDS, Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
 from .model import PathParams, evaluate_model
 from .paths import PathParseError, PathSet, load_manifest, synth_path
 from .spectra import (
-    FTConfig, KGrid, KSpectrum, SpectrumError, TransformConfigError, atomic_write,
-    check_k_range, chi_file_lines, load_data, transform_k_to_r,
+    FTConfig, KGrid, KSpectrum, SpectrumError, atomic_write, check_k_range, chi_file_lines,
+    load_data, transform_k_to_r,
 )
 
 MODES = ("fit", "cutoff-sweep", "error-analysis", "synth", "benchmark")
@@ -132,6 +132,7 @@ def _snr(raw: str) -> float | None:
 # labels.  [grid], [ft], [fitness] and [ga] fill KGrid, FTConfig, FitnessConfig
 # and GAConfig, [genes] the gene bounds, the other sections RunConfig's fields.
 # Keys that name the same field fill it as a (lower, upper) pair, in order.
+# A default is the one of the type the row fills, where that type has one.
 SETTINGS = (
     ("run", "mode", "mode", str, None),
     ("run", "output_dir", "output_dir", str, "out"),
@@ -142,37 +143,40 @@ SETTINGS = (
     ("grid", "delta_k", "delta_k", _number(), 0.05),
     ("ft", "k_min_fit", "k_range", _number(), 2.5),
     ("ft", "k_max_fit", "k_range", _number(), 12.0),
-    ("ft", "r_min", "r_range", _number(), 0.0),
-    ("ft", "r_max", "r_range", _number(), 6.0),
-    ("ft", "k_weight", "k_weight", int, 2),
-    ("ft", "window_sill", "window_sill", _number(), 1.0),
-    ("ft", "n_fft", "n_fft", int, 2048),
-    ("fitness", "space", "space", str, "K"),
-    ("fitness", "n_indep", "n_indep", _optional_int, None),
-    ("fitness", "epsilon", "epsilon", _number(), 1.0),
-    ("fitness", "k_weight", "k_weight", int, 2),
-    ("ga", "population_size", "population_size", int, 200),
-    ("ga", "max_generations", "max_generations", int, 100),
-    ("ga", "elite_fraction", "elite_fraction", _number(), 0.2),
-    ("ga", "random_fraction", "random_fraction", _number(), 0.2),
-    ("ga", "crossover_method", "crossover_method", str, "uniform"),
-    ("ga", "mutation_method", "mutation_method", str, "maximum"),
-    ("ga", "initial_mutation_rate", "initial_mutation_rate", _number(), 20.0),
-    ("ga", "mutation_rate_min", "mutation_rate_bounds", _number(), 1.0),
-    ("ga", "mutation_rate_max", "mutation_rate_bounds", _number(), 90.0),
-    ("ga", "rechenberg_factor", "rechenberg_factor", _number(), 0.9),
-    ("ga", "patience", "patience", int, 20),
-    ("ga", "rng_seed", "rng_seed", int, 0),
-    ("genes", "delta_e0", "delta_e0", _gene_bounds("delta_e0"), (-10.0, 10.0, 0.01)),
-    ("genes", "s02", "s02", _gene_bounds("s02", 0.0), (0.0, 1.2, 0.005)),
-    ("genes", "sigma2", "sigma2", _gene_bounds("sigma2", 0.0), (0.0, 0.02, 1e-4)),
-    ("genes", "delta_r", "delta_r", _gene_bounds("delta_r"), (-0.2, 0.2, 1e-3)),
+    ("ft", "r_min", "r_range", _number(), FTConfig.r_range[0]),
+    ("ft", "r_max", "r_range", _number(), FTConfig.r_range[1]),
+    ("ft", "k_weight", "k_weight", int, FTConfig.k_weight),
+    ("ft", "window_sill", "window_sill", _number(), FTConfig.window_sill),
+    ("ft", "n_fft", "n_fft", int, FTConfig.n_fft),
+    ("fitness", "space", "space", str, FitnessConfig.space),
+    ("fitness", "n_indep", "n_indep", _optional_int, FitnessConfig.n_indep),
+    ("fitness", "epsilon", "epsilon", _number(), FitnessConfig.epsilon),
+    ("fitness", "k_weight", "k_weight", int, FitnessConfig.k_weight),
+    ("ga", "population_size", "population_size", int, GAConfig.population_size),
+    ("ga", "max_generations", "max_generations", int, GAConfig.max_generations),
+    ("ga", "elite_fraction", "elite_fraction", _number(), GAConfig.elite_fraction),
+    ("ga", "random_fraction", "random_fraction", _number(), GAConfig.random_fraction),
+    ("ga", "crossover_method", "crossover_method", str, GAConfig.crossover_method),
+    ("ga", "mutation_method", "mutation_method", str, GAConfig.mutation_method),
+    ("ga", "initial_mutation_rate", "initial_mutation_rate", _number(),
+     GAConfig.initial_mutation_rate),
+    ("ga", "mutation_rate_min", "mutation_rate_bounds", _number(),
+     GAConfig.mutation_rate_bounds[0]),
+    ("ga", "mutation_rate_max", "mutation_rate_bounds", _number(),
+     GAConfig.mutation_rate_bounds[1]),
+    ("ga", "rechenberg_factor", "rechenberg_factor", _number(), GAConfig.rechenberg_factor),
+    ("ga", "patience", "patience", int, GAConfig.patience),
+    ("ga", "rng_seed", "rng_seed", int, GAConfig.rng_seed),
+    ("genes", "delta_e0", "delta_e0", _gene_bounds("delta_e0"), GENE_BOUNDS["delta_e0"]),
+    ("genes", "s02", "s02", _gene_bounds("s02", 0.0), GENE_BOUNDS["s02"]),
+    ("genes", "sigma2", "sigma2", _gene_bounds("sigma2", 0.0), GENE_BOUNDS["sigma2"]),
+    ("genes", "delta_r", "delta_r", _gene_bounds("delta_r"), GENE_BOUNDS["delta_r"]),
     ("synth", "s02", "s02", _list(), ()),
     ("synth", "sigma2", "sigma2", _list(), ()),
     ("synth", "delta_r", "delta_r", _list(), ()),
     ("synth", "delta_e0", "delta_e0", _number(), 0.0),
     ("synth", "snr", "snr", _snr, RunConfig.snr),
-    ("synth", "seed", "synth_seed", int, RunConfig.synth_seed),
+    ("synth", "seed", "synth_seed", _number(int, 0), RunConfig.synth_seed),
     ("cutoff", "percents", "cutoff_percents", _list(minimum=0.0, maximum=100.0),
      RunConfig.cutoff_percents),
     ("cutoff", "repeats", "cutoff_repeats", _number(int, 1), RunConfig.cutoff_repeats),
@@ -182,12 +186,22 @@ SETTINGS = (
       for name, cast in (("population", int), ("generations", int), ("mutation_rate", float))),
     ("benchmark", "n_paths", "benchmark_n_paths", _list(int, minimum=1),
      RunConfig.benchmark_n_paths),
-    ("benchmark", "generations", "benchmark_generations", int, RunConfig.benchmark_generations),
+    ("benchmark", "generations", "benchmark_generations", _number(int, 0),
+     RunConfig.benchmark_generations),
 )
 
 # The keys parse_config reads, per section.  [synth_paths] is not listed: its
 # keys are path labels, and every one is read.
 KEYS = {section: {k for s, k, *_ in SETTINGS if s == section} for section, *_ in SETTINGS}
+
+
+def _build(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError it raises reported as a ConfigError
+    under [section]."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def parse_config(path: str) -> RunConfig:
@@ -196,7 +210,7 @@ def parse_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         cp.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if "run" not in cp:
         raise ConfigError(f"{path}: missing [run] section")
@@ -218,15 +232,11 @@ def parse_config(path: str) -> RunConfig:
         kwargs[field] = (kwargs[field], value) if field in kwargs else value
     if fields["run"]["mode"] not in MODES:
         raise ConfigError(f"[run] mode must be one of {MODES}, got {fields['run']['mode']!r}")
-    try:
-        grid = KGrid(**fields["grid"])
-    except SpectrumError as exc:
-        raise ConfigError(f"[grid] {exc}") from None
-    fitness = FitnessConfig(ft=FTConfig(**fields["ft"]), **fields["fitness"])
-    try:
-        check_k_range(fitness.ft, grid)
-    except TransformConfigError as exc:
-        raise ConfigError(f"[ft] {exc}") from None
+    grid = _build("grid", KGrid, **fields["grid"])
+    ft = _build("ft", FTConfig, **fields["ft"])
+    _build("ft", check_k_range, ft, grid)
+    fitness = _build("fitness", FitnessConfig, ft=ft, **fields["fitness"])
+    ga = _build("ga", GAConfig, **fields["ga"])
 
     synth_paths = None
     if "synth_paths" in cp:
@@ -239,10 +249,11 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("[synth] s02, sigma2, delta_r lists must match in length")
     if synth_paths and lists[0] and len(lists[0]) != len(synth_paths):
         raise ConfigError("[synth] parameter lists must match [synth_paths] count")
-    truth = Chromosome(delta_e0, tuple(map(PathParams, *lists))) if lists[0] else None
+    per_path = _build("synth", lambda: tuple(map(PathParams, *lists)))
+    truth = Chromosome(delta_e0, per_path) if per_path else None
     error_ranges = {name: fields["error"].pop(name) for name in DEFAULT_HYPER_RANGES}
     return RunConfig(
-        grid=grid, ga=GAConfig(**fields["ga"]), fitness=fitness, gene_bounds=fields["genes"],
+        grid=grid, ga=ga, fitness=fitness, gene_bounds=fields["genes"],
         synth_paths=synth_paths, truth=truth, error_ranges=error_ranges,
         **fields["run"], **synth, **fields["cutoff"], **fields["error"], **fields["benchmark"],
     )
@@ -342,9 +353,9 @@ def _run_synth(cfg: RunConfig) -> dict[str, list[str]]:
 
 
 def _run_cutoff_sweep(cfg: RunConfig) -> dict[str, list[str]]:
-    paths, data, specs = load_inputs(cfg)
+    paths, data, _ = load_inputs(cfg)
     rows = cutoff_sweep(data, paths, cfg.ga, cfg.fitness, cfg.cutoff_percents,
-                        gene_specs=specs, n_repeat=cfg.cutoff_repeats,
+                        n_repeat=cfg.cutoff_repeats,
                         gene_spec_builder=lambda n: gene_specs(cfg, n))
     return {"cutoff_sweep.csv": _csv("percent,mean_chi2,n_paths_kept",
                                      ((r["percent"], r["mean_chi2"], r["n_paths_kept"])
@@ -432,6 +443,14 @@ def run(cfg: RunConfig) -> list[str]:
     return files
 
 
+def _seed(raw: str) -> int:
+    """argparse type of --seed: an integer of at least 0."""
+    try:
+        return _number(int, 0)(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse {raw!r}: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="exafsga",
@@ -441,13 +460,13 @@ def main(argv=None) -> int:
     for mode in MODES:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_seed, default=None)
         sp.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(args.config)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     cfg.mode = args.mode

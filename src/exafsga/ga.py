@@ -129,12 +129,21 @@ class Chromosome:
         return cls(delta_e0=float(genes[0]), per_path=per_path)
 
 
+# Default (lower, upper, step) of each parameter kind, keyed by its [genes] name.
+GENE_BOUNDS = {
+    "delta_e0": (-10.0, 10.0, 0.01),
+    "s02": (0.0, 1.2, 0.005),
+    "sigma2": (0.0, 0.02, 1e-4),
+    "delta_r": (-0.2, 0.2, 1e-3),
+}
+
+
 def default_gene_specs(
     n_paths: int,
-    e0_bounds: tuple[float, float, float] = (-10.0, 10.0, 0.01),
-    s02_bounds: tuple[float, float, float] = (0.0, 1.2, 0.005),
-    sigma2_bounds: tuple[float, float, float] = (0.0, 0.02, 1e-4),
-    delta_r_bounds: tuple[float, float, float] = (-0.2, 0.2, 1e-3),
+    e0_bounds: tuple[float, float, float] = GENE_BOUNDS["delta_e0"],
+    s02_bounds: tuple[float, float, float] = GENE_BOUNDS["s02"],
+    sigma2_bounds: tuple[float, float, float] = GENE_BOUNDS["sigma2"],
+    delta_r_bounds: tuple[float, float, float] = GENE_BOUNDS["delta_r"],
 ) -> list[GeneSpec]:
     """Gene layout [delta_e0, (s02, sigma2, delta_r) per path] with
     (lower, upper, step) triples per parameter kind."""
@@ -178,6 +187,8 @@ class GAConfig:
             raise GAError("rechenberg_factor must lie in (0,1)")
         if self.patience < 1 or self.max_generations < 1:
             raise GAError("patience and max_generations must be >= 1")
+        if self.rng_seed < 0:
+            raise GAError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 # One record per generation.  Generation 1 is the initial population: its

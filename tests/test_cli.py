@@ -13,9 +13,10 @@ from exafsga.cli import (
     main,
     parse_config,
 )
-from exafsga.fitness import FitnessError
+from exafsga.fitness import FitnessConfig
+from exafsga.ga import GENE_BOUNDS, GAConfig
 from exafsga.paths import serialize_feff_path, synth_path
-from exafsga.spectra import KGrid, SpectrumError
+from exafsga.spectra import FTConfig, KGrid, SpectrumError
 
 
 SYNTH_CONFIG = """
@@ -106,9 +107,9 @@ class TestParseConfig:
         cfg = write_config(tmp_path, "[run]\nmode = fit\n")
         rc = parse_config(cfg)
         assert rc.grid == KGrid(0.5, 12.5, 0.05)
-        assert rc.ga.population_size == 200
-        assert rc.fitness.space == "K"
-        assert rc.gene_bounds["s02"] == (0.0, 1.2, 0.005)
+        assert rc.ga == GAConfig()
+        assert rc.fitness == FitnessConfig(ft=FTConfig(k_range=(2.5, 12.0)))
+        assert rc.gene_bounds == GENE_BOUNDS
 
     def test_gene_triple_parse_error(self, tmp_path):
         cfg = write_config(tmp_path, "[run]\nmode = fit\n\n[genes]\ns02 = 0 1\n")
@@ -154,11 +155,11 @@ class TestParseConfig:
     @pytest.mark.parametrize("k_weight", ["7", "-2", "400"])
     def test_fitness_k_weight_out_of_range_rejected(self, tmp_path, capsys, k_weight):
         cfg = write_config(tmp_path, f"[run]\nmode = fit\n\n[fitness]\nk_weight = {k_weight}\n")
-        message = f"k_weight must be in 0..3, got {k_weight}"
-        with pytest.raises(FitnessError, match=re.escape(message)):
+        message = f"[fitness] k_weight must be in 0..3, got {k_weight}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(cfg)
         assert main(["fit", "--config", cfg]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("ft, fit_range", [("k_max_fit = 20", "2.5, 20.0"),
                                                 ("k_min_fit = 0.1", "0.1, 12.0")])
@@ -328,6 +329,12 @@ class TestMainErrors:
         assert main(["fit", "--config", cfg]) == 2
         assert "[ga] key 'population_size'" in capsys.readouterr().err
 
+    def test_undecodable_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"[run]\nmode = fit\n# \xff\n")
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: 'utf-8' codec")
+
     def test_missing_config_exit_code(self):
         assert main(["fit", "--config", "/nonexistent.ini"]) == 2
 
@@ -399,6 +406,51 @@ class TestMainMalformedValues:
         assert main([mode, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: [{section}] key '{key}': cannot parse {value!r}: {reason}\n"
+
+    @pytest.mark.parametrize("section, setting, reason", [
+        ("ga", "population_size = 1", "population_size must be at least 2"),
+        ("ga", "crossover_method = xor", "unknown crossover_method 'xor'"),
+        ("ga", "elite_fraction = 0.9", "elite_fraction + random_fraction must be < 1"),
+        ("ft", "n_fft = 1000", "n_fft must be a power of two, got 1000"),
+        ("ft", "window_sill = 6", "window_sill wider than half the fit range"),
+        ("ft", "k_weight = 5", "k_weight must be in 0..3, got 5"),
+        ("fitness", "space = Q", "space must be K, R, or K+R, got 'Q'"),
+        ("fitness", "n_indep = 0", "n_indep must be positive"),
+        ("fitness", "k_weight = 5", "k_weight must be in 0..3, got 5"),
+        ("synth", "s02 = -0.1\nsigma2 = 0.003\ndelta_r = 0", "s02 must be non-negative, got -0.1"),
+    ])
+    def test_rejected_value_names_section(self, tmp_path, capsys, monkeypatch, section, setting,
+                                          reason):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        out = tmp_path / "out"
+        text = f"[run]\nmode = fit\noutput_dir = {out}\n\n[{section}]\n{setting}\n"
+        assert main(["fit", "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"config error: [{section}] {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, section, key, reason", [
+        ("fit", "ga", "rng_seed", "rng_seed must be >= 0, got -3"),
+        ("synth", "synth", "seed", "key 'seed': cannot parse '-3': must be at least 0"),
+        ("benchmark", "benchmark", "generations",
+         "key 'generations': cannot parse '-3': must be at least 0"),
+    ])
+    def test_negative_seed_or_generations(self, tmp_path, capsys, monkeypatch, mode, section,
+                                          key, reason):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        out = tmp_path / "out"
+        text = f"[run]\nmode = {mode}\noutput_dir = {out}\n\n[{section}]\n{key} = -3\n"
+        assert main([mode, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"config error: [{section}] {reason}\n"
+        assert not out.exists()
+
+    def test_negative_seed_option(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SYNTH_CONFIG.format(out=out))
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", cfg, "--seed", "-3"])
+        assert exc.value.code == 2
+        assert "argument --seed: cannot parse '-3': must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["fit", "synth"])
     @pytest.mark.parametrize("values, reason", [
