@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitness import FitnessConfig, FitnessError
+from .fitness import FitnessConfig
 from .ga import Chromosome, FitResult, GAConfig, GAError, default_gene_specs, run_ga
 from .model import ModelError, ModelEvaluator, evaluate_model
 from .paths import PathSet
@@ -137,8 +137,9 @@ def cutoff_sweep(
 ):
     """Fit, prune at each cutoff, refit on the pruned set; report mean chi^2.
 
-    Returns a list of dicts with keys percent, mean_chi2, n_paths_kept, and
-    the per-repeat CutoffReports, which carry both fits' best chromosomes.
+    Returns a list of dicts with keys percent, mean_chi2, n_paths_kept (the
+    size of the first repeat's pruned set; repeats can keep different sets)
+    and reports, the per-repeat CutoffReports with both fits' best chromosomes.
     gene_spec_builder(n_paths) customizes the gene specs of the second-round
     fits (defaults to default_gene_specs).
     """
@@ -216,16 +217,19 @@ def error_analysis(
     Each run samples (population size, generation count, mutation rate)
     uniformly from `ranges` and gets its own seed, derived from `seed`.  The
     rate is clamped to ga_config.mutation_rate_bounds, and the manifest
-    records the clamped rate the run used.  A run that fails with a model,
-    GA or fitness error is recorded in the manifest and counted in n_failed;
-    any other exception propagates.
+    records the clamped rate the run used.  A run that fails with a model
+    or GA error is recorded in the manifest and counted in n_failed; any
+    other exception, such as a bad fit range's FitnessError, propagates.
     """
     if n_runs < 2:
         raise AnalysisError("n_runs must be at least 2")
     ranges = {**DEFAULT_HYPER_RANGES, **(ranges or {})}
-    for name, minimum in MIN_HYPER.items():
-        if ranges[name][0] < minimum:
-            raise AnalysisError(f"{name} range {ranges[name]} starts below {minimum}")
+    for name in DEFAULT_HYPER_RANGES:
+        low, high = ranges[name]
+        if high < low:
+            raise AnalysisError(f"{name} range {ranges[name]} is reversed")
+        if low < MIN_HYPER.get(name, low):
+            raise AnalysisError(f"{name} range {ranges[name]} starts below {MIN_HYPER[name]}")
     if gene_specs is None:
         gene_specs = default_gene_specs(len(paths))
     names = tuple(s.name for s in gene_specs)
@@ -255,7 +259,7 @@ def error_analysis(
         }
         try:
             result = run_ga(data, paths, cfg, fitness_config, gene_specs)
-        except (ModelError, GAError, FitnessError) as exc:
+        except (ModelError, GAError) as exc:
             n_failed += 1
             entry["error"] = str(exc)
             manifest.append(entry)

@@ -466,17 +466,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    cfg.mode = args.mode
-    if args.seed is not None:
-        cfg.ga = replace(cfg.ga, rng_seed=args.seed)
-        cfg.synth_seed = args.seed
-    if args.out is not None:
-        cfg.output_dir = args.out
-
-    try:
+        cfg.mode = args.mode
+        if args.seed is not None:
+            cfg.ga = replace(cfg.ga, rng_seed=args.seed)
+            cfg.synth_seed = args.seed
+        if args.out is not None:
+            cfg.output_dir = args.out
         files = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -487,8 +482,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"{type(exc).__module__}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    for f in files:
-        print(f)
+    print(*files, sep="\n")
     return 0
 
 

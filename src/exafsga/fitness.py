@@ -100,11 +100,11 @@ class SpectrumObjective:
     Caches the data-side comparison vectors; K-space terms read the fit
     range from the evaluator's first valid index on, and R-space terms
     transform both spectra before comparing magnitudes over r_range.  The
-    fit k_range must lie on the data's grid (FitnessError otherwise).
+    fit k_range must pass check_k_range on the data's grid (FitnessError).
 
     The model is evaluated only on the slice of the grid these comparisons
     read: the hull of the fit k_range and the support of the k->r transform
-    (KToRMap.support), in every space, since report() reads both.  That is
+    (KToRMap.columns), in every space, since report() reads both.  That is
     exact: K-space chi^2 reads the same elements in the same order, and the
     model points left out meet only exact zeros of the transform matrix.
 
@@ -116,26 +116,20 @@ class SpectrumObjective:
     """
 
     def __init__(self, data: KSpectrum, paths: PathSet, config: FitnessConfig):
-        self.data = data
-        self.paths = paths
-        self.config = config
-        self.grid = data.grid
+        self.data, self.paths, self.config, self.grid = data, paths, config, data.grid
         try:
-            check_k_range(config.ft, self.grid)
+            fit = check_k_range(config.ft, self.grid)
         except TransformConfigError as exc:
             raise FitnessError(f"fit {exc}") from None
-        k = self.grid.ks
-        # Grid indices [_lo, _hi) of the fit range: the points with k in k_range.
-        self._lo = int(np.searchsorted(k, config.ft.k_range[0]))
-        self._hi = int(np.searchsorted(k, config.ft.k_range[1], side="right"))
-        if self._lo == self._hi:
-            raise FitnessError("fit k_range contains no data samples")
-        self._kw = k**config.k_weight
+        self._lo, self._hi = fit.start, fit.stop
+        self._kw = self.grid.ks**config.k_weight
         self._kw_data = self._kw * data.chi
         self._data_r = transform_k_to_r(data, config.ft).magnitude
         self._to_r = k_to_r_map(self.grid, config.ft)
-        ends = np.r_[self._lo, self._hi - 1, np.flatnonzero(self._to_r.support)]
-        points = slice(int(ends.min()), int(ends.max()) + 1)
+        cols = self._to_r.columns
+        if cols.start == cols.stop:
+            cols = fit
+        points = slice(min(fit.start, cols.start), max(fit.stop, cols.stop))
         self._evaluator = ModelEvaluator(paths, self.grid, points=points)
         self._in_k = config.space in ("K", "K+R")
         self._in_r = config.space in ("R", "K+R")

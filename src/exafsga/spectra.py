@@ -155,14 +155,22 @@ def window_weights(k: np.ndarray, config: FTConfig) -> np.ndarray:
     return w
 
 
-def check_k_range(config: FTConfig, grid: KGrid) -> None:
-    """Raise TransformConfigError, naming both ranges, unless config.k_range
-    lies on grid (within 1e-9)."""
+def check_k_range(config: FTConfig, grid: KGrid) -> slice:
+    """The slice of grid points in config.k_range; TransformConfigError unless
+    that range lies on grid (within 1e-9) and holds 1 to config.n_fft points."""
     lo, hi = config.k_range
     if lo < grid.k_min - 1e-9 or hi > grid.k_max + 1e-9:
         raise TransformConfigError(
             f"k_range [{lo}, {hi}] extends beyond the grid [{grid.k_min}, {grid.k_max}]"
         )
+    start = int(np.searchsorted(grid.ks, lo))
+    stop = int(np.searchsorted(grid.ks, hi, side="right"))
+    if stop == start:
+        raise TransformConfigError(f"k_range [{lo}, {hi}] contains no grid samples")
+    if config.n_fft < stop - start:
+        raise TransformConfigError(f"n_fft={config.n_fft} smaller than {stop - start} "
+                                   "in-range samples")
+    return slice(start, stop)
 
 
 class KToRMap:
@@ -182,10 +190,10 @@ class KToRMap:
     The support is one contiguous run of grid points: the window is positive
     strictly inside k_range, and each transformed point n*delta_k reads the
     two adjacent grid points around it.  The map checks that once, when it
-    is built, and reads chi through the slice the run spans.
+    is built, and reads chi through the slice the run spans, its columns.
     """
 
-    __slots__ = ("r", "support", "matrix", "_columns")
+    __slots__ = ("r", "support", "matrix", "columns")
 
     def __init__(self, r: np.ndarray, support: np.ndarray, matrix: np.ndarray):
         self.r, self.support, self.matrix = r, support, matrix
@@ -193,7 +201,7 @@ class KToRMap:
         start = int(cols[0]) if cols.size else 0
         if cols.size and cols[-1] - start + 1 != cols.size:
             raise TransformConfigError("k->r support is not one contiguous run of grid points")
-        self._columns = slice(start, start + cols.size)
+        self.columns = slice(start, start + cols.size)
 
     def __call__(self, chi: np.ndarray) -> np.ndarray:
         """Complex chi(r) on self.r of a float chi(k) array on the map's grid.
@@ -202,23 +210,19 @@ class KToRMap:
         short for them fails in the product), and a non-finite chi gives a
         non-finite chi(r).  transform_k_to_r is the checked, spectrum-level
         call."""
-        return (self.matrix @ chi[self._columns]).view(np.complex128)
+        return (self.matrix @ chi[self.columns]).view(np.complex128)
 
 
 @lru_cache(maxsize=16)
 def k_to_r_map(grid: KGrid, config: FTConfig) -> KToRMap:
     """The KToRMap of (grid, config), built once and cached (16 entries).
+    TransformConfigError unless check_k_range passes and r_range holds an r-point.
 
     A caller that transforms many chi(k) arrays on one grid, such as a
     fitness objective, binds the map once and calls it on each array."""
+    check_k_range(config, grid)
     k = grid.ks
-    in_range = (k >= config.k_range[0]) & (k <= config.k_range[1])
-    n_in = int(np.count_nonzero(in_range))
-    if n_in == 0:
-        raise TransformConfigError("k_range contains no grid samples")
     n_fft = config.n_fft
-    if n_fft < n_in:
-        raise TransformConfigError(f"n_fft={n_fft} smaller than {n_in} in-range samples")
     n = np.arange(n_fft)
     kk = grid.delta_k * n
     keep_n = (kk >= config.k_range[0]) & (kk <= config.k_range[1])
@@ -234,6 +238,10 @@ def k_to_r_map(grid: KGrid, config: FTConfig) -> KToRMap:
     m = np.arange(n_fft // 2)
     r = m * np.pi / (n_fft * grid.delta_k)
     keep_r = (r >= config.r_range[0]) & (r <= config.r_range[1])
+    if not keep_r.any():
+        step = np.pi / (n_fft * grid.delta_k)
+        raise TransformConfigError(f"r_range {list(config.r_range)} holds no r-point "
+                                   f"m*pi/(n_fft*delta_k) = m*{step:.6g}, 0 <= m < {m.size}")
     m, r = m[keep_r], r[keep_r]
     # exp(2i pi n m / n_fft), with n*m reduced mod n_fft for an exact phase.
     dft = np.exp(2j * np.pi * (np.outer(m, n) % n_fft) / n_fft)

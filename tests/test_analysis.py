@@ -11,9 +11,9 @@ from exafsga.analysis import (
     error_analysis,
     synth_generate,
 )
-from exafsga.fitness import FitnessConfig, SpectrumObjective
-from exafsga.ga import Chromosome, GAConfig, GeneSpec, run_ga
-from exafsga.model import PathParams, evaluate_model
+from exafsga.fitness import FitnessConfig, FitnessError, SpectrumObjective
+from exafsga.ga import Chromosome, GAConfig, GAError, GeneSpec, run_ga
+from exafsga.model import ModelError, PathParams, evaluate_model
 from exafsga.paths import PathSet, synth_path
 from exafsga.spectra import FTConfig, KGrid
 
@@ -220,6 +220,64 @@ class TestErrorAnalysis:
         monkeypatch.setattr(analysis, "run_ga", no_fit)
         with pytest.raises(AnalysisError, match=name):
             error_analysis(data, paths, ga, fitness, n_runs=2, ranges={name: low_high})
+
+    @pytest.mark.parametrize("name, low_high", [
+        ("population", (20, 10)), ("generations", (6, 4)), ("mutation_rate", (30.0, 10.0)),
+    ])
+    def test_reversed_range_raises_before_any_member(self, monkeypatch, name, low_high):
+        paths, truth, data, fitness, ga = small_problem()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        expected = rf"^{name} range \({low_high[0]}, {low_high[1]}\) is reversed$"
+        with pytest.raises(AnalysisError, match=expected):
+            error_analysis(data, paths, ga, fitness, n_runs=2, ranges={name: low_high})
+
+    def test_failed_members_are_recorded_and_left_out(self, monkeypatch):
+        paths, truth, data, fitness, ga = small_problem()
+        failures = {1: GAError("no convergence"), 2: ModelError("bad shift"),
+                    4: GAError("no convergence")}
+        calls, kept = [], []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) - 1 in failures:
+                raise failures[len(calls) - 1]
+            result = run_ga(*args)
+            kept.append(result.best.to_genes())
+            return result
+
+        monkeypatch.setattr(analysis, "run_ga", flaky)
+        report = error_analysis(data, paths, ga, fitness, n_runs=6, seed=3,
+                                ranges={"population": (20, 30), "generations": (3, 4)})
+        assert report.n_failed == 3 and len(calls) == 6 and len(kept) == 3
+        for entry in report.manifest:
+            if entry["run"] in failures:
+                assert entry["error"] == str(failures[entry["run"]])
+                assert "best_fitness" not in entry
+            else:
+                assert "error" not in entry and "best_fitness" in entry
+        assert [c.to_genes().tolist() for c in report.best_chromosomes] == \
+            [g.tolist() for g in kept]
+        assert np.array_equal(report.means, np.mean(kept, axis=0))
+        assert np.array_equal(report.stds, np.std(kept, axis=0, ddof=1))
+
+    def test_fit_range_without_a_grid_point_raises_from_the_first_member(self, monkeypatch):
+        paths, truth, data, _, ga = small_problem()
+        fitness = FitnessConfig(ft=FTConfig(k_range=(2.501, 2.509), window_sill=0.0))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_ga(*args)
+
+        monkeypatch.setattr(analysis, "run_ga", counted)
+        with pytest.raises(FitnessError, match="contains no grid samples"):
+            error_analysis(data, paths, ga, fitness, n_runs=3,
+                           ranges={"population": (20, 20)}, seed=0)
+        assert len(calls) == 1
 
     def test_default_ranges_exposed(self):
         assert DEFAULT_HYPER_RANGES["population"] == (100, 5000)

@@ -5,7 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from exafsga import analysis, cli
+from exafsga import analysis, cli, ga
 from exafsga.cli import (
     ConfigError,
     load_data,
@@ -367,6 +367,22 @@ class TestMainErrors:
         assert capsys.readouterr().err == f"config error: [grid] {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("space", ["K", "K+R"])
+    def test_r_range_without_an_r_point_fails_before_the_first_fit(self, tmp_path, capsys,
+                                                                   monkeypatch, space):
+        data = run_synth(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(ga, "evolve", no_fit)
+        out = tmp_path / "out"
+        text = FIT_CONFIG.format(out=out, data=data).replace(
+            "k_max_fit = 12.0", "k_max_fit = 12.0\nr_min = 0.01\nr_max = 0.02")
+        text += f"\n[fitness]\nspace = {space}\n"
+        assert main(["fit", "--config", write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == (
+            "exafsga.spectra.TransformConfigError: r_range [0.01, 0.02] holds no r-point "
+            "m*pi/(n_fft*delta_k) = m*0.0306796, 0 <= m < 1024\n")
+        assert not out.exists()
+
     def test_output_dir_that_cannot_be_made_fails_after_the_run(self, tmp_path):
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
@@ -441,6 +457,22 @@ class TestMainMalformedValues:
         text = f"[run]\nmode = {mode}\noutput_dir = {out}\n\n[{section}]\n{key} = -3\n"
         assert main([mode, "--config", write_config(tmp_path, text)]) == 2
         assert capsys.readouterr().err == f"config error: [{section}] {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["fit", "cutoff-sweep", "error-analysis"])
+    @pytest.mark.parametrize("ft, reason", [
+        ("window_sill = 0\nk_min_fit = 2.501\nk_max_fit = 2.509",
+         "k_range [2.501, 2.509] contains no grid samples"),
+        ("n_fft = 128", "n_fft=128 smaller than 191 in-range samples"),
+    ])
+    def test_fit_range_that_cannot_fit(self, tmp_path, capsys, monkeypatch, mode, ft, reason):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        out = tmp_path / "out"
+        text = FIT_CONFIG.format(out=out, data="unread.dat").replace("mode = fit", f"mode = {mode}")
+        text = text.replace("k_min_fit = 2.5\nk_max_fit = 12.0", ft)
+        assert main([mode, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"config error: [ft] {reason}\n"
         assert not out.exists()
 
     def test_negative_seed_option(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from exafsga.spectra import (
     FTConfig,
     KGrid,
     KSpectrum,
+    TransformConfigError,
     k_to_r_map,
     transform_k_to_r,
 )
@@ -348,3 +349,38 @@ class TestFitRangeOnGrid:
         expected = rf"k_range \[{k_range[0]}, {k_range[1]}\] extends beyond the grid \[0.5, 12.5\]"
         with pytest.raises(FitnessError, match=expected):
             SpectrumObjective(data, paths, cfg)
+
+    def test_range_between_grid_points_rejected(self):
+        grid = KGrid(0.5, 12.5, 0.05)
+        paths = PathSet(paths=(synth_path(2.5, 6, grid, label="p"),))
+        data = KSpectrum(grid, np.zeros(grid.n_points))
+        cfg = FitnessConfig(ft=FTConfig(k_range=(2.501, 2.509), window_sill=0.0))
+        with pytest.raises(FitnessError,
+                           match=r"^fit k_range \[2\.501, 2\.509\] contains no grid samples$"):
+            SpectrumObjective(data, paths, cfg)
+
+    @pytest.mark.parametrize("space", ["K", "R", "K+R"])
+    def test_r_range_without_an_r_point_rejected_in_every_space(self, space):
+        grid = KGrid(0.5, 12.5, 0.05)
+        paths = PathSet(paths=(synth_path(2.5, 6, grid, label="p"),))
+        data = KSpectrum(grid, np.zeros(grid.n_points))
+        cfg = FitnessConfig(ft=FTConfig(k_range=(2.5, 12.0), r_range=(0.01, 0.02)), space=space)
+        with pytest.raises(TransformConfigError, match=r"^r_range \[0\.01, 0\.02\] holds no r-point"):
+            SpectrumObjective(data, paths, cfg)
+
+    def test_empty_transform_support_evaluates_the_fit_range(self):
+        # Grid points sit at odd multiples of 0.025 and the transform at
+        # multiples of 0.05, so k_range holds one grid point (2.525) and no
+        # transformed point: the map reads no column.
+        grid = KGrid(0.525, 12.525, 0.05)
+        paths = PathSet(paths=(synth_path(2.5, 6, grid, label="p"),))
+        truth = Chromosome(0.0, (PathParams(0.8, 0.004, 0.0),))
+        data = evaluate_model(paths, truth, grid)
+        ft = FTConfig(k_range=(2.52, 2.53), window_sill=0.0)
+        assert k_to_r_map(grid, ft).columns == slice(0, 0)
+        obj = SpectrumObjective(data, paths, FitnessConfig(ft=ft))
+        trial = Chromosome(0.0, (PathParams(0.6, 0.004, 0.0),))
+        model = evaluate_model(paths, trial, grid).chi
+        kw = grid.ks[40:41] ** 2
+        expected = chi2(kw * model[40:41], kw * data.chi[40:41], obj.config)
+        assert expected > 0 and obj.evaluate_genes(trial.to_genes()) == expected

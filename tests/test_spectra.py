@@ -147,6 +147,35 @@ class TestWindow:
             check_k_range(cfg, grid)
 
 
+class TestCheckKRange:
+    @pytest.mark.parametrize("k_range", [
+        (0.5, 12.5), (2.5, 12.0), (2.501, 2.6), (2.5, 2.549), (2.51, 2.59), (12.45, 12.5 + 1e-10),
+    ])
+    def test_returns_the_slice_of_points_in_the_range(self, grid, k_range):
+        held = check_k_range(FTConfig(k_range=k_range, window_sill=0.0), grid)
+        k = grid.ks
+        assert np.array_equal(np.arange(grid.n_points)[held],
+                              np.flatnonzero((k >= k_range[0]) & (k <= k_range[1])))
+
+    def test_range_between_grid_points_rejected(self, grid):
+        cfg = FTConfig(k_range=(2.501, 2.509), window_sill=0.0)
+        with pytest.raises(TransformConfigError,
+                           match=r"^k_range \[2\.501, 2\.509\] contains no grid samples$"):
+            check_k_range(cfg, grid)
+
+    def test_more_points_than_n_fft_rejected(self, grid):
+        with pytest.raises(TransformConfigError,
+                           match=r"^n_fft=128 smaller than 191 in-range samples$"):
+            check_k_range(FTConfig(k_range=(2.5, 12.0), n_fft=128), grid)
+        assert check_k_range(FTConfig(k_range=(2.5, 8.85), n_fft=128), grid) == slice(40, 168)
+
+    def test_is_the_check_of_the_transform(self, grid):
+        spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
+        for k_range in [(0.45, 12.0), (2.0, 12.6)]:
+            with pytest.raises(TransformConfigError, match="extends beyond the grid"):
+                transform_k_to_r(spec, FTConfig(k_range=k_range))
+
+
 class TestTransform:
     def test_zero_in_zero_out(self, grid):
         cfg = FTConfig(k_range=(2.0, 12.0), n_fft=512)
@@ -241,6 +270,17 @@ class TestTransform:
         kwargs = dict(k_range=(2.0, 12.0)) | {field: value}
         with pytest.raises(TransformConfigError, match="must be finite"):
             FTConfig(**kwargs)
+
+    @pytest.mark.parametrize("r_range", [(0.01, 0.02), (40.0, 50.0)])
+    def test_r_range_without_an_r_point_rejected(self, grid, r_range):
+        # r-points m*pi/(2048*0.05) for 0 <= m < 1024: (0.01, 0.02) falls
+        # between the first two, (40, 50) past pi/(2*delta_k).
+        spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
+        cfg = FTConfig(k_range=(2.5, 12.0), r_range=r_range)
+        expected = (rf"^r_range \[{r_range[0]}, {r_range[1]}\] holds no r-point "
+                    r"m\*pi/\(n_fft\*delta_k\) = m\*0\.0306796, 0 <= m < 1024$")
+        with pytest.raises(TransformConfigError, match=expected):
+            transform_k_to_r(spec, cfg)
 
     def test_nfft_too_small(self, grid):
         cfg = FTConfig(k_range=(2.0, 12.0), n_fft=128)
