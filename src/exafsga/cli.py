@@ -26,8 +26,8 @@ from .ga import GENE_BOUNDS, Chromosome, GAConfig, GeneSpec, default_gene_specs,
 from .model import PathParams, evaluate_model
 from .paths import PathParseError, PathSet, load_manifest, synth_path
 from .spectra import (
-    FTConfig, KGrid, KSpectrum, SpectrumError, atomic_write, check_k_range, chi_file_lines,
-    load_data, transform_k_to_r,
+    FTConfig, KGrid, KSpectrum, SpectrumError, atomic_write, check_k_range, check_r_range,
+    chi_file_lines, load_data, transform_k_to_r,
 )
 
 MODES = ("fit", "cutoff-sweep", "error-analysis", "synth", "benchmark")
@@ -235,6 +235,7 @@ def parse_config(path: str) -> RunConfig:
     grid = _build("grid", KGrid, **fields["grid"])
     ft = _build("ft", FTConfig, **fields["ft"])
     _build("ft", check_k_range, ft, grid)
+    _build("ft", check_r_range, ft, grid)
     fitness = _build("fitness", FitnessConfig, ft=ft, **fields["fitness"])
     ga = _build("ga", GAConfig, **fields["ga"])
 

@@ -352,11 +352,12 @@ def evolve(
 ) -> tuple[np.ndarray, float, np.ndarray, str]:
     """Evolve rows of gene level indices until max_generations or stagnation.
 
-    Every operator works on int64 index rows (see GeneCodec); the scorer
-    decodes each block it scores once, a metropolis mutant alone.  objective
-    maps one decoded gene vector to its fitness (lower is better) and must be
-    a pure function of it: within a generation, an index row equal to one
-    already in the population or already scored is not scored again.
+    Every operator works on int64 index rows (see GeneCodec).  One memoized
+    scorer decodes each block it scores once and calls objective on the rows
+    its memo lacks, in row order.  The memo holds the generation's population
+    and every row scored since; it is the only rule for skipping a row.
+    objective maps one decoded gene vector to its fitness (lower is better)
+    and must be a pure function of it.
     Returns (best genes decoded, best fitness, history, exit reason), history
     holding one HISTORY_DTYPE record per generation.  A ValueError from the
     objective (every exafsga error is one) or a non-finite fitness raises
@@ -376,30 +377,29 @@ def evolve(
     codec = GeneCodec(gene_specs)
     memo: dict[bytes, float] = {}  # this generation's scored index rows
 
-    def score_one(idx, genes: np.ndarray, generation: int, individual: int) -> float:
-        """Fitness of index row idx, decoded to genes, at population index individual."""
-        key = idx.tobytes()
-        fitness = memo.get(key)
-        if fitness is None:
-            try:
-                fitness = float(objective(genes))
-            except ValueError as exc:
-                raise GAError(
-                    f"fitness evaluation failed at generation {generation}, "
-                    f"individual {individual}: {exc}"
-                ) from exc
-            if not math.isfinite(fitness):
-                raise GAError(
-                    f"fitness {fitness} at generation {generation}, "
-                    f"individual {individual}, genes {genes.tolist()}"
-                )
-            memo[key] = fitness
-        return fitness
-
-    def score(rows, generation: int, index) -> np.ndarray:
-        """Fitness of each index row; index holds the rows' population indices."""
-        return np.array([score_one(r, g, generation, i)
-                         for i, r, g in zip(index, rows, codec.decode(rows))])
+    def score(rows, generation: int, first: int) -> np.ndarray:
+        """Fitness of each index row of the block rows, row i at population
+        index first + i: the memo's, else the objective's, in row order."""
+        fits = np.empty(len(rows))
+        for i, (row, genes) in enumerate(zip(rows, codec.decode(rows))):
+            key = row.tobytes()
+            fitness = memo.get(key)
+            if fitness is None:
+                try:
+                    fitness = float(objective(genes))
+                except ValueError as exc:
+                    raise GAError(
+                        f"fitness evaluation failed at generation {generation}, "
+                        f"individual {first + i}: {exc}"
+                    ) from exc
+                if not math.isfinite(fitness):
+                    raise GAError(
+                        f"fitness {fitness} at generation {generation}, "
+                        f"individual {first + i}, genes {genes.tolist()}"
+                    )
+                memo[key] = fitness
+            fits[i] = fitness
+        return fits
 
     rng = np.random.default_rng(ga_config.rng_seed)
     pop_size = ga_config.population_size
@@ -407,7 +407,7 @@ def evolve(
     crossover, mutation = ga_config.crossover_method, ga_config.mutation_method
 
     pop = codec.random(rng, pop_size)
-    fits = score(pop, 1, range(pop_size))
+    fits = score(pop, 1, 0)
 
     sigma = float(ga_config.initial_mutation_rate)
     history = [(1, float(fits.min()), sigma, 0.0, 0.0, 0.0, 0.0, 0.0)]
@@ -439,9 +439,7 @@ def evolve(
         memo.update(zip(map(np.ndarray.tobytes, pop), fits.tolist()))
         gen += 1
         pop = np.vstack([pop[elite], children, codec.random(rng, n_random)])
-        fits = np.concatenate(
-            [fits[elite], score(pop[n_elite:], gen, range(n_elite, pop_size))]
-        )
+        fits = np.concatenate([fits[elite], score(pop[n_elite:], gen, n_elite)])
         prev_best = history[-1][1]
         best_after_cross = float(fits.min())
         mean_after_cross = float(fits.mean())
@@ -453,15 +451,13 @@ def evolve(
             for idx in range(n_elite, pop_size):
                 pop[idx], fits[idx] = mutate_metropolis(
                     pop[idx], sigma, fits[idx], k_cool, rng,
-                    lambda m: score_one(m, codec.decode(m), gen, idx), codec,
+                    lambda m: score(m[None], gen, idx)[0], codec,
                 )
         else:
-            # No draw depends on a score: draw all mutants, then score the changed.
+            # No draw depends on a score: draw all mutants, then score them all.
             mutate = mutate_maximum if mutation == "maximum" else mutate_nested
-            mutants = np.array([mutate(g, sigma, codec, rng) for g in pop[n_elite:]])
-            changed = n_elite + np.flatnonzero(np.any(mutants != pop[n_elite:], axis=1))
-            pop[changed] = mutants[changed - n_elite]
-            fits[changed] = score(pop[changed], gen, changed)
+            pop[n_elite:] = [mutate(g, sigma, codec, rng) for g in pop[n_elite:]]
+            fits[n_elite:] = score(pop[n_elite:], gen, n_elite)
 
         best = float(fits.min())
         mean_after_mut = float(fits.mean())

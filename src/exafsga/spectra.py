@@ -9,6 +9,7 @@ as one real matrix per (KGrid, FTConfig), built once and cached.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import tempfile
@@ -173,6 +174,23 @@ def check_k_range(config: FTConfig, grid: KGrid) -> slice:
     return slice(start, stop)
 
 
+def check_r_range(config: FTConfig, grid: KGrid) -> slice:
+    """The slice of r-points m*pi/(n_fft*delta_k), 0 <= m < n_fft/2, in
+    config.r_range; TransformConfigError if it holds none.  No r-point falls
+    as m grows, so two bisections find the slice without building them."""
+    n_r, span = config.n_fft // 2, config.n_fft * grid.delta_k
+
+    def r(m: int) -> float:
+        return m * np.pi / span
+
+    start = bisect.bisect_left(range(n_r), config.r_range[0], key=r)
+    stop = bisect.bisect_right(range(n_r), config.r_range[1], key=r)
+    if stop == start:
+        raise TransformConfigError(f"r_range {list(config.r_range)} holds no r-point "
+                                   f"m*pi/(n_fft*delta_k) = m*{r(1):.6g}, 0 <= m < {n_r}")
+    return slice(start, stop)
+
+
 class KToRMap:
     """The k->r transform of one (KGrid, FTConfig) as a linear map on chi(k)
     arrays: chi(r) = M @ chi(k), applied as A @ chi(k)[support].
@@ -216,11 +234,12 @@ class KToRMap:
 @lru_cache(maxsize=16)
 def k_to_r_map(grid: KGrid, config: FTConfig) -> KToRMap:
     """The KToRMap of (grid, config), built once and cached (16 entries).
-    TransformConfigError unless check_k_range passes and r_range holds an r-point.
+    TransformConfigError unless check_k_range and check_r_range pass.
 
     A caller that transforms many chi(k) arrays on one grid, such as a
     fitness objective, binds the map once and calls it on each array."""
     check_k_range(config, grid)
+    r_points = check_r_range(config, grid)
     k = grid.ks
     n_fft = config.n_fft
     n = np.arange(n_fft)
@@ -235,14 +254,8 @@ def k_to_r_map(grid: KGrid, config: FTConfig) -> KToRMap:
     interp = np.zeros((kk.size, k.size))
     interp[rows, j] = 1.0 - t
     interp[rows, j + 1] += t
-    m = np.arange(n_fft // 2)
+    m = np.arange(r_points.start, r_points.stop)
     r = m * np.pi / (n_fft * grid.delta_k)
-    keep_r = (r >= config.r_range[0]) & (r <= config.r_range[1])
-    if not keep_r.any():
-        step = np.pi / (n_fft * grid.delta_k)
-        raise TransformConfigError(f"r_range {list(config.r_range)} holds no r-point "
-                                   f"m*pi/(n_fft*delta_k) = m*{step:.6g}, 0 <= m < {m.size}")
-    m, r = m[keep_r], r[keep_r]
     # exp(2i pi n m / n_fft), with n*m reduced mod n_fft for an exact phase.
     dft = np.exp(2j * np.pi * (np.outer(m, n) % n_fft) / n_fft)
     weight = window_weights(kk, config) * kk**config.k_weight

@@ -377,9 +377,9 @@ class TestMainErrors:
         text = FIT_CONFIG.format(out=out, data=data).replace(
             "k_max_fit = 12.0", "k_max_fit = 12.0\nr_min = 0.01\nr_max = 0.02")
         text += f"\n[fitness]\nspace = {space}\n"
-        assert main(["fit", "--config", write_config(tmp_path, text)]) == 1
+        assert main(["fit", "--config", write_config(tmp_path, text)]) == 2
         assert capsys.readouterr().err == (
-            "exafsga.spectra.TransformConfigError: r_range [0.01, 0.02] holds no r-point "
+            "config error: [ft] r_range [0.01, 0.02] holds no r-point "
             "m*pi/(n_fft*delta_k) = m*0.0306796, 0 <= m < 1024\n")
         assert not out.exists()
 

@@ -163,6 +163,14 @@ class TestSpectrumObjective:
         )
         assert obj.evaluate_genes(other.to_genes()) > 0.0
 
+    def test_report_on_constant_data_leaves_every_comparison_out(self):
+        # chi(k) = 0: the k-weighted and unweighted data and the data's
+        # |chi(r)| are constant, so no r2 is defined.
+        obj, truth = self.make("K+R")
+        zero = KSpectrum(obj.grid, np.zeros(obj.grid.n_points))
+        obj = SpectrumObjective(zero, obj.paths, obj.config)
+        assert obj.report(truth.to_genes()) == ({}, {})
+
     @pytest.mark.parametrize("space", ["R", "K+R"])
     def test_r_space_matches_direct_transform(self, space):
         # The objective against chi^2 summed by hand, with both magnitudes

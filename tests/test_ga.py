@@ -496,6 +496,34 @@ class TestMutateMetropolis:
             assert out[0] == ind[0]
 
 
+class TestOneElite:
+    """A population of five holds one elite (int(5 * 0.2)): every child's
+    parent pair is that row twice."""
+
+    def test_pick_two_parents_from_one_draws_nothing(self):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        assert ga._pick_two_parents(1, rng) == (0, 0)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("crossover", ga.CROSSOVER_METHODS)
+    def test_population_of_five_evolves_and_repeats(self, crossover):
+        cfg = GAConfig(population_size=5, max_generations=6, patience=6,
+                       crossover_method=crossover, rng_seed=2)
+        assert select(np.arange(5.0), cfg).size == 1
+
+        def objective(genes):
+            return float(np.sum(genes**2))
+
+        runs = [evolve(objective, default_gene_specs(1), cfg) for _ in range(2)]
+        for genes, fitness, history, exit_reason in runs:
+            assert (len(history), exit_reason) == (6, "max_generations")
+            assert fitness == objective(genes) == history["best_fitness"][-1]
+        (genes_a, fitness_a, history_a, _), (genes_b, fitness_b, history_b, _) = runs
+        assert np.array_equal(genes_a, genes_b) and fitness_a == fitness_b
+        assert np.array_equal(history_a, history_b)
+
+
 class TestRechenberg:
     CFG = GAConfig(rechenberg_factor=0.9, mutation_rate_bounds=(1.0, 90.0))
 

@@ -40,13 +40,19 @@ class TestParser:
         assert path.lam[1] == pytest.approx(6.1446)
 
     def test_file_without_column_header(self):
-        # Data then starts at the first line of seven numeric columns.
+        # Data then starts at the first line of seven numeric columns: a line
+        # of seven tokens whose first is not a number is passed over, and so
+        # is a blank line between data rows.
         header = next(ln for ln in MINIMAL_FILE.splitlines(keepends=True) if "real[p]" in ln)
-        bare = parse_feff_path(MINIMAL_FILE.replace(header, ""), label="feff0001.dat")
+        bare = MINIMAL_FILE.replace(header, "")
+        worded = MINIMAL_FILE.replace(header, " index k phc mag phase red lambda\n").replace(
+            "   1.0000  2.7399e+00", "\n   1.0000  2.7399e+00")
         full = parse_feff_path(MINIMAL_FILE, label="feff0001.dat")
-        assert (bare.degeneracy, bare.r_eff) == (full.degeneracy, full.r_eff)
-        for name in ("k_theory", "f_eff", "phase_scatter", "phase_central", "lam", "real_p"):
-            np.testing.assert_array_equal(getattr(bare, name), getattr(full, name))
+        for text in (bare, worded):
+            path = parse_feff_path(text, label="feff0001.dat")
+            assert (path.degeneracy, path.r_eff) == (full.degeneracy, full.r_eff)
+            for name in ("k_theory", "f_eff", "phase_scatter", "phase_central", "lam", "real_p"):
+                np.testing.assert_array_equal(getattr(path, name), getattr(full, name))
 
     def test_missing_separator(self):
         with pytest.raises(PathParseError, match="separator"):

@@ -11,6 +11,7 @@ from exafsga.spectra import (
     SpectrumError,
     TransformConfigError,
     check_k_range,
+    check_r_range,
     k_to_r_map,
     load_data,
     read_chi_file,
@@ -174,6 +175,24 @@ class TestCheckKRange:
         for k_range in [(0.45, 12.0), (2.0, 12.6)]:
             with pytest.raises(TransformConfigError, match="extends beyond the grid"):
                 transform_k_to_r(spec, FTConfig(k_range=k_range))
+
+
+class TestCheckRRange:
+    @pytest.mark.parametrize("n_fft", [8, 2048, 2**19])
+    def test_returns_the_slice_of_r_points_in_the_range(self, grid, n_fft):
+        # Ends on an r-point, one ulp to either side of one, and past the last.
+        r = np.arange(n_fft // 2) * np.pi / (n_fft * grid.delta_k)
+        a, b = r[r.size // 3], r[-1]
+        down, up = (lambda x: np.nextafter(x, 0.0)), (lambda x: np.nextafter(x, np.inf))
+        for lo, hi in [(0.0, b), (a, b), (up(a), down(b)), (down(a), up(a)), (up(a), up(up(a))),
+                       (a, 2 * b), (up(b), 2 * b)]:
+            cfg = FTConfig(k_range=(2.5, 12.0), r_range=(float(lo), float(hi)), n_fft=n_fft)
+            held = np.flatnonzero((r >= lo) & (r <= hi))
+            if held.size:
+                assert np.array_equal(np.arange(r.size)[check_r_range(cfg, grid)], held)
+            else:
+                with pytest.raises(TransformConfigError, match="holds no r-point"):
+                    check_r_range(cfg, grid)
 
 
 class TestTransform:
