@@ -54,7 +54,7 @@ first = run_ga(
     GAConfig(population_size=150, max_generations=15, rng_seed=1, patience=15),
     fitness, specs_for(len(paths)),
 )
-report = cutoff_select(paths, first.best, grid, (2.5, 12.5), cutoff_percent=1.0)
+report = cutoff_select(paths, first.best, grid, fitness, cutoff_percent=1.0)
 print("area fractions (%):")
 for label, frac in zip(report.labels, report.fractions):
     marker = "kept" if label in report.selected else "pruned"

@@ -11,7 +11,7 @@ from .fitness import FitnessConfig
 from .ga import Chromosome, FitResult, GAConfig, GAError, default_gene_specs, run_ga
 from .model import ModelError, ModelEvaluator, evaluate_model
 from .paths import PathSet
-from .spectra import KGrid, KSpectrum
+from .spectra import KGrid, KSpectrum, check_k_range
 
 
 class AnalysisError(ValueError):
@@ -83,25 +83,24 @@ def cutoff_select(
     paths: PathSet,
     chromosome: Chromosome,
     grid: KGrid,
-    fit_range: tuple[float, float],
+    fitness_config: FitnessConfig,
     cutoff_percent: float,
-    k_weight: int = 2,
 ) -> CutoffReport:
     """Score each path by its k-weighted absolute spectral area fraction.
 
-    area_i = integral of |k^w chi_i(k)| over the fit range (trapezoidal);
-    paths whose fraction of the total area reaches cutoff_percent/100 are
-    kept in the pruned set.
+    area_i = integral of |k^w chi_i(k)| (trapezoidal) over the points and
+    weight the fit reads: check_k_range(fitness_config.ft, grid) and
+    w = fitness_config.k_weight.  Paths whose fraction of the total area
+    reaches cutoff_percent/100 are kept in the pruned set.
     """
     if cutoff_percent < 0:
         raise AnalysisError("cutoff_percent must be non-negative")
-    k = grid.ks
-    mask = (k >= fit_range[0]) & (k <= fit_range[1])
-    if np.count_nonzero(mask) < 2:
+    fit = check_k_range(fitness_config.ft, grid)
+    if fit.stop - fit.start < 2:
         raise AnalysisError("fit range selects fewer than two grid points")
-    kw = k[mask] ** k_weight
+    k = grid.ks[fit]
     terms, _ = ModelEvaluator(paths, grid).evaluate_paths(chromosome.to_genes())
-    areas = np.trapezoid(np.abs(kw * terms[:, mask]), k[mask], axis=1)
+    areas = np.trapezoid(np.abs(k**fitness_config.k_weight * terms[:, fit]), k, axis=1)
     total = areas.sum()
     if total <= 0:
         raise AnalysisError("all path contributions are zero; nothing to prune")
@@ -164,14 +163,7 @@ def cutoff_sweep(
             first = run_ga(
                 data, paths, replace(ga_config, rng_seed=seed1), fitness_config, gene_specs
             )
-            report = cutoff_select(
-                paths,
-                first.best,
-                data.grid,
-                fitness_config.ft.k_range,
-                percent,
-                k_weight=fitness_config.k_weight,
-            )
+            report = cutoff_select(paths, first.best, data.grid, fitness_config, percent)
             second = run_ga(
                 data,
                 report.pruned,

@@ -201,7 +201,7 @@ def _build(section: str, make, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def parse_config(path: str) -> RunConfig:

@@ -120,7 +120,7 @@ class SpectrumObjective:
         try:
             fit = check_k_range(config.ft, self.grid)
         except TransformConfigError as exc:
-            raise FitnessError(f"fit {exc}") from None
+            raise FitnessError(f"fit {exc}") from exc
         self._lo, self._hi = fit.start, fit.stop
         self._kw = self.grid.ks**config.k_weight
         self._kw_data = self._kw * data.chi

@@ -202,6 +202,8 @@ class ModelEvaluator:
     def _terms(self, genes: np.ndarray) -> tuple[np.ndarray, int, slice]:
         """Per-path summands at the evaluated points, shape (n_paths, n_used),
         the first valid index and the slice of evaluated points."""
+        if genes.size != 1 + 3 * self.n_paths:
+            raise ModelError(f"{genes.size} genes for {self.n_paths} paths")
         first, used, kv, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
         if kv.size == 0:
             return np.empty((self.n_paths, 0)), first, used
@@ -237,10 +239,7 @@ class ModelEvaluator:
     def evaluate_paths(self, genes) -> tuple[np.ndarray, int]:
         """Unsummed model: one chi(k) row per path (0 at invalid points and
         outside points), and the first valid index."""
-        genes = np.asarray(genes, dtype=float)
-        if genes.size != 1 + 3 * self.n_paths:
-            raise ModelError(f"{genes.size} genes for {self.n_paths} paths")
-        terms, first, used = self._terms(genes)
+        terms, first, used = self._terms(np.asarray(genes, dtype=float))
         out = np.zeros((self.n_paths, self._n_points))
         out[:, used] = terms
         return out, first

@@ -158,14 +158,16 @@ def window_weights(k: np.ndarray, config: FTConfig) -> np.ndarray:
 
 def check_k_range(config: FTConfig, grid: KGrid) -> slice:
     """The slice of grid points in config.k_range; TransformConfigError unless
-    that range lies on grid (within 1e-9) and holds 1 to config.n_fft points."""
+    that range lies on grid (within 1e-9) and holds 1 to config.n_fft points.
+    A point within 1e-9 of an end counts as inside, so an end written as a
+    grid point's decimal holds that point whichever way it rounds."""
     lo, hi = config.k_range
     if lo < grid.k_min - 1e-9 or hi > grid.k_max + 1e-9:
         raise TransformConfigError(
             f"k_range [{lo}, {hi}] extends beyond the grid [{grid.k_min}, {grid.k_max}]"
         )
-    start = int(np.searchsorted(grid.ks, lo))
-    stop = int(np.searchsorted(grid.ks, hi, side="right"))
+    start = int(np.searchsorted(grid.ks, lo - 1e-9))
+    stop = int(np.searchsorted(grid.ks, hi + 1e-9, side="right"))
     if stop == start:
         raise TransformConfigError(f"k_range [{lo}, {hi}] contains no grid samples")
     if config.n_fft < stop - start:

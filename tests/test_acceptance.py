@@ -300,7 +300,7 @@ class TestCutoffPruning:
             )
             first = run_ga(data, paths, cfg, FITNESS, specs_for(len(paths)))
             for pct in (1.0, 10.0):
-                rep = cutoff_select(paths, first.best, GRID, FIT_RANGE, pct)
+                rep = cutoff_select(paths, first.best, GRID, FITNESS, pct)
                 if pct == 1.0 and not all(
                     f"p{i}" in rep.selected for i in range(5)
                 ):

@@ -15,11 +15,12 @@ from exafsga.fitness import FitnessConfig, FitnessError, SpectrumObjective
 from exafsga.ga import Chromosome, GAConfig, GAError, GeneSpec, run_ga
 from exafsga.model import ModelError, PathParams, evaluate_model
 from exafsga.paths import PathSet, synth_path
-from exafsga.spectra import FTConfig, KGrid
+from exafsga.spectra import FTConfig, KGrid, check_k_range
 
 
 GRID = KGrid(0.5, 13.0, 0.05)
 FIT_RANGE = (2.5, 12.5)
+FITNESS = FitnessConfig(ft=FTConfig(k_range=FIT_RANGE))
 
 
 def make_paths(amp_scales, start=2.3, spacing=0.7):
@@ -85,31 +86,31 @@ class TestSynthGenerate:
 class TestCutoffSelect:
     def test_all_kept_at_zero_percent(self):
         paths = make_paths([1.0, 0.01, 0.5])
-        report = cutoff_select(paths, flat_chromosome(3), GRID, FIT_RANGE, 0.0)
+        report = cutoff_select(paths, flat_chromosome(3), GRID, FITNESS, 0.0)
         assert report.selected == ("p0", "p1", "p2")
         assert len(report.pruned.paths) == 3
 
     def test_threshold_prunes_small_contributions(self):
         paths = make_paths([1.0, 0.001, 0.8])
-        report = cutoff_select(paths, flat_chromosome(3), GRID, FIT_RANGE, 5.0)
+        report = cutoff_select(paths, flat_chromosome(3), GRID, FITNESS, 5.0)
         assert "p1" not in report.selected
         assert "p0" in report.selected and "p2" in report.selected
 
     def test_fractions_scale_invariant(self):
         paths = make_paths([1.0, 0.3, 0.1])
-        r1 = cutoff_select(paths, flat_chromosome(3, s02=0.4), GRID, FIT_RANGE, 1.0)
-        r2 = cutoff_select(paths, flat_chromosome(3, s02=0.9), GRID, FIT_RANGE, 1.0)
+        r1 = cutoff_select(paths, flat_chromosome(3, s02=0.4), GRID, FITNESS, 1.0)
+        r2 = cutoff_select(paths, flat_chromosome(3, s02=0.9), GRID, FITNESS, 1.0)
         np.testing.assert_allclose(r1.fractions, r2.fractions, rtol=1e-10)
 
     def test_fractions_sum_to_one(self):
         paths = make_paths([1.0, 0.3, 0.1, 0.6])
-        report = cutoff_select(paths, flat_chromosome(4), GRID, FIT_RANGE, 1.0)
+        report = cutoff_select(paths, flat_chromosome(4), GRID, FITNESS, 1.0)
         assert np.sum(report.fractions) == pytest.approx(1.0, abs=1e-12)
 
     def test_area_against_rectangle_rule(self):
         paths = make_paths([1.0, 0.5])
         chrom = flat_chromosome(2)
-        report = cutoff_select(paths, chrom, GRID, FIT_RANGE, 0.0, k_weight=2)
+        report = cutoff_select(paths, chrom, GRID, FITNESS, 0.0)
         ks = GRID.ks
         mask = (ks >= FIT_RANGE[0]) & (ks <= FIT_RANGE[1])
         areas = []
@@ -125,13 +126,35 @@ class TestCutoffSelect:
     def test_empty_selection_raises(self):
         paths = make_paths([1.0, 1.0])
         with pytest.raises(AnalysisError):
-            cutoff_select(paths, flat_chromosome(2), GRID, FIT_RANGE, 80.0)
+            cutoff_select(paths, flat_chromosome(2), GRID, FITNESS, 80.0)
 
     def test_zero_model_raises(self):
         paths = make_paths([1.0])
         chrom = flat_chromosome(1, s02=0.0)
         with pytest.raises(AnalysisError):
-            cutoff_select(paths, chrom, GRID, FIT_RANGE, 1.0)
+            cutoff_select(paths, chrom, GRID, FITNESS, 1.0)
+
+    def test_prunes_over_the_points_the_fit_reads(self):
+        # grid.ks[239] is 12.450000000000001, above the 12.45 that ends the
+        # range: the fit holds that point, so the areas must too.
+        paths = make_paths([1.0, 0.5, 0.2])
+        chrom = flat_chromosome(3, delta_e0=-0.5)
+        fitness = FitnessConfig(ft=FTConfig(k_range=(2.5, 12.45)))
+        fit = check_k_range(fitness.ft, GRID)
+        assert GRID.ks[239] > 12.45 and fit == slice(40, 240)
+        data = synth_generate(paths, chrom, GRID, snr=None)
+        objective = SpectrumObjective(data, paths, fitness)
+        assert (objective._lo, objective._hi) == (fit.start, fit.stop)
+        k = GRID.ks[fit]
+        areas = []
+        for i in range(3):
+            single = PathSet(paths=(paths.paths[i],))
+            sub = Chromosome(chrom.delta_e0, (chrom.per_path[i],))
+            contrib = evaluate_model(single, sub, GRID).chi[fit]
+            areas.append(np.trapezoid(np.abs(k**2 * contrib), k))
+        report = cutoff_select(paths, chrom, GRID, fitness, 0.0)
+        np.testing.assert_allclose(report.fractions, np.array(areas) / np.sum(areas),
+                                   rtol=1e-12)
 
 
 def small_problem(n_paths=2, snr=20.0, seed=0):

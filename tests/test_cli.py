@@ -180,6 +180,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(cfg)
 
+    def test_library_error_is_the_cause(self, tmp_path):
+        text = SYNTH_CONFIG.format(out=tmp_path / "out").replace("k_max = 12.5", "k_max = 0.2")
+        with pytest.raises(ConfigError, match=r"^\[grid\] k_max must exceed k_min$") as info:
+            parse_config(write_config(tmp_path, text))
+        assert isinstance(info.value.__cause__, SpectrumError)
+        assert str(info.value.__cause__) == "k_max must exceed k_min"
+
 
 class TestBuildGeneSpecs:
     def test_layout(self, tmp_path):

@@ -163,6 +163,14 @@ class TestSpectrumObjective:
         )
         assert obj.evaluate_genes(other.to_genes()) > 0.0
 
+    @pytest.mark.parametrize("n_genes", [4, 10])
+    def test_wrong_gene_count_rejected(self, n_genes):
+        # Two paths take 7 genes; 10 would read as three paths, 4 as one.
+        obj, truth = self.make()
+        genes = np.resize(truth.to_genes(), n_genes)
+        with pytest.raises(ModelError, match=rf"^{n_genes} genes for 2 paths$"):
+            obj.evaluate_genes(genes)
+
     def test_report_on_constant_data_leaves_every_comparison_out(self):
         # chi(k) = 0: the k-weighted and unweighted data and the data's
         # |chi(r)| are constant, so no r2 is defined.
@@ -357,6 +365,15 @@ class TestFitRangeOnGrid:
         expected = rf"k_range \[{k_range[0]}, {k_range[1]}\] extends beyond the grid \[0.5, 12.5\]"
         with pytest.raises(FitnessError, match=expected):
             SpectrumObjective(data, paths, cfg)
+
+    def test_rejection_keeps_the_transform_error_as_its_cause(self):
+        grid = KGrid(0.5, 12.5, 0.05)
+        paths = PathSet(paths=(synth_path(2.5, 6, grid, label="p"),))
+        data = KSpectrum(grid, np.zeros(grid.n_points))
+        with pytest.raises(FitnessError) as info:
+            SpectrumObjective(data, paths, FitnessConfig(ft=FTConfig(k_range=(2.0, 20.0))))
+        assert isinstance(info.value.__cause__, TransformConfigError)
+        assert str(info.value) == f"fit {info.value.__cause__}"
 
     def test_range_between_grid_points_rejected(self):
         grid = KGrid(0.5, 12.5, 0.05)

@@ -247,6 +247,15 @@ class TestModelEvaluator:
         cached, _ = ev.evaluate_genes(genes)
         assert np.array_equal(cached, ModelEvaluator(ps, grid).evaluate_genes(genes)[0])
 
+    @pytest.mark.parametrize("n_genes", [3, 7])
+    def test_gene_count_checked_by_both_entries(self, n_genes):
+        grid = KGrid(0.5, 12.0, 0.05)
+        ev = ModelEvaluator(PathSet(paths=(synth_path(2.5, 12, grid, label="p"),)), grid)
+        genes = np.resize([0.5, 0.8, 0.004, 0.02], n_genes)
+        for entry in (ev.evaluate_genes, ev.evaluate_paths):
+            with pytest.raises(ModelError, match=rf"^{n_genes} genes for 1 paths$"):
+                entry(genes)
+
     @pytest.mark.parametrize("delta_e0", [-5.0, 10.0, 12.0**2 / EV_TO_KSQ + 1.0])
     def test_first_counts_the_invalid_points(self, delta_e0):
         # None, some and all of the grid's points invalid.

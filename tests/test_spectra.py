@@ -170,6 +170,18 @@ class TestCheckKRange:
             check_k_range(FTConfig(k_range=(2.5, 12.0), n_fft=128), grid)
         assert check_k_range(FTConfig(k_range=(2.5, 8.85), n_fft=128), grid) == slice(40, 168)
 
+    def test_an_end_at_a_grid_points_decimal_holds_that_point(self, grid):
+        # grid.ks[41] is 2.5500000000000003, above the 2.55 a config writes.
+        assert grid.ks[41] > 2.55
+        cfg = FTConfig(k_range=(2.501, 2.55), window_sill=0.0)
+        assert check_k_range(cfg, grid) == slice(41, 42)
+        for i, k in enumerate(grid.ks[1:-1], start=1):
+            end = round(float(k), 2)
+            low = FTConfig(k_range=(grid.k_min, end), window_sill=0.0)
+            high = FTConfig(k_range=(end, grid.k_max), window_sill=0.0)
+            assert check_k_range(low, grid) == slice(0, i + 1)
+            assert check_k_range(high, grid) == slice(i, grid.n_points)
+
     def test_is_the_check_of_the_transform(self, grid):
         spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
         for k_range in [(0.45, 12.0), (2.0, 12.6)]:
