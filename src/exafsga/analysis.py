@@ -8,7 +8,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fitness import FitnessConfig
-from .ga import Chromosome, FitResult, GAConfig, GAError, default_gene_specs, run_ga
+from .ga import (
+    Chromosome, FitResult, GAConfig, GAError, check_gene_specs, default_gene_specs, run_ga,
+)
 from .model import ModelError, ModelEvaluator, evaluate_model
 from .paths import PathSet
 from .spectra import KGrid, KSpectrum, check_k_range
@@ -156,7 +158,7 @@ def cutoff_sweep(
         gene_specs = gene_spec_builder(len(paths))
     rows = []
     for p_idx, percent in enumerate(percents):
-        chi2s, reports = [], []
+        reports = []
         for rep in range(n_repeat):
             seed1 = _derived_seed(ga_config.rng_seed, p_idx, rep, 0)
             seed2 = _derived_seed(ga_config.rng_seed, p_idx, rep, 1)
@@ -173,11 +175,10 @@ def cutoff_sweep(
             )
             reports.append(replace(report, chi2_before=first.best_fitness,
                                    chi2_after=second.best_fitness, best_after=second.best))
-            chi2s.append(second.best_fitness)
         rows.append(
             {
                 "percent": percent,
-                "mean_chi2": float(np.mean(chi2s)),
+                "mean_chi2": float(np.mean([r.chi2_after for r in reports])),
                 "n_paths_kept": len(reports[0].pruned),
                 "reports": reports,
             }
@@ -209,9 +210,10 @@ def error_analysis(
     Each run samples (population size, generation count, mutation rate)
     uniformly from `ranges` and gets its own seed, derived from `seed`.  The
     rate is clamped to ga_config.mutation_rate_bounds, and the manifest
-    records the clamped rate the run used.  A run that fails with a model
-    or GA error is recorded in the manifest and counted in n_failed; any
-    other exception, such as a bad fit range's FitnessError, propagates.
+    records the clamped rate the run used.  Gene specs that check_gene_specs
+    rejects raise its GAError before the first run; a run that fails with a
+    model or GA error is recorded in the manifest and counted in n_failed;
+    any other exception, such as a bad fit range's FitnessError, propagates.
     """
     if n_runs < 2:
         raise AnalysisError("n_runs must be at least 2")
@@ -224,11 +226,12 @@ def error_analysis(
             raise AnalysisError(f"{name} range {ranges[name]} starts below {MIN_HYPER[name]}")
     if gene_specs is None:
         gene_specs = default_gene_specs(len(paths))
+    check_gene_specs(gene_specs, len(paths))
     names = tuple(s.name for s in gene_specs)
 
     lo, hi = ga_config.mutation_rate_bounds
     sampler = np.random.default_rng(seed)
-    rows, manifest, chroms, traces = [], [], [], []
+    manifest, chroms, traces = [], [], []
     n_failed = 0
     for run_idx in range(n_runs):
         pop = int(sampler.integers(ranges["population"][0], ranges["population"][1] + 1))
@@ -258,13 +261,12 @@ def error_analysis(
             continue
         entry["best_fitness"] = result.best_fitness
         manifest.append(entry)
-        rows.append(result.best.to_genes())
         chroms.append(result.best)
         traces.append(result.history["best_fitness"])
-    if len(rows) < 2:
-        raise AnalysisError(f"only {len(rows)} successful runs; need at least 2")
+    if len(chroms) < 2:
+        raise AnalysisError(f"only {len(chroms)} successful runs; need at least 2")
 
-    samples = np.array(rows)
+    samples = np.array([c.to_genes() for c in chroms])
     cov = np.cov(samples, rowvar=False, ddof=1)
     return ErrorReport(
         parameter_names=names,

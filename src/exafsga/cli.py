@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .fitness import FitnessConfig
 from .ga import GENE_BOUNDS, Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
-from .model import PathParams, evaluate_model
+from .model import NON_NEGATIVE, PATH_GENES, PathParams, evaluate_model
 from .paths import PathParseError, PathSet, load_manifest, synth_path
 from .spectra import (
     FTConfig, KGrid, KSpectrum, SpectrumError, atomic_write, check_k_range, check_r_range,
@@ -167,13 +167,9 @@ SETTINGS = (
     ("ga", "rechenberg_factor", "rechenberg_factor", _number(), GAConfig.rechenberg_factor),
     ("ga", "patience", "patience", int, GAConfig.patience),
     ("ga", "rng_seed", "rng_seed", int, GAConfig.rng_seed),
-    ("genes", "delta_e0", "delta_e0", _gene_bounds("delta_e0"), GENE_BOUNDS["delta_e0"]),
-    ("genes", "s02", "s02", _gene_bounds("s02", 0.0), GENE_BOUNDS["s02"]),
-    ("genes", "sigma2", "sigma2", _gene_bounds("sigma2", 0.0), GENE_BOUNDS["sigma2"]),
-    ("genes", "delta_r", "delta_r", _gene_bounds("delta_r"), GENE_BOUNDS["delta_r"]),
-    ("synth", "s02", "s02", _list(), ()),
-    ("synth", "sigma2", "sigma2", _list(), ()),
-    ("synth", "delta_r", "delta_r", _list(), ()),
+    *(("genes", name, name, _gene_bounds(name, 0.0 if name in NON_NEGATIVE else None), bounds)
+      for name, bounds in GENE_BOUNDS.items()),
+    *(("synth", name, name, _list(), ()) for name in PATH_GENES),
     ("synth", "delta_e0", "delta_e0", _number(), 0.0),
     ("synth", "snr", "snr", _snr, RunConfig.snr),
     ("synth", "seed", "synth_seed", _number(int, 0), RunConfig.synth_seed),
@@ -244,10 +240,10 @@ def parse_config(path: str) -> RunConfig:
         synth_paths = [(key, *_get(cp, "synth_paths", key, _list(lengths=(3, 4))))
                        for key in cp["synth_paths"]]
     synth = fields["synth"]
-    lists = [synth.pop(key) for key in ("s02", "sigma2", "delta_r")]
+    lists = [synth.pop(key) for key in PATH_GENES]
     delta_e0 = synth.pop("delta_e0")
     if len({len(v) for v in lists}) != 1:
-        raise ConfigError("[synth] s02, sigma2, delta_r lists must match in length")
+        raise ConfigError(f"[synth] {', '.join(PATH_GENES)} lists must match in length")
     if synth_paths and lists[0] and len(lists[0]) != len(synth_paths):
         raise ConfigError("[synth] parameter lists must match [synth_paths] count")
     per_path = _build("synth", lambda: tuple(map(PathParams, *lists)))
@@ -279,8 +275,7 @@ def build_paths(cfg: RunConfig) -> PathSet:
 
 def gene_specs(cfg: RunConfig, n_paths: int) -> list[GeneSpec]:
     """Gene layout for n_paths paths under the configured [genes] bounds."""
-    b = cfg.gene_bounds
-    return default_gene_specs(n_paths, b["delta_e0"], b["s02"], b["sigma2"], b["delta_r"])
+    return default_gene_specs(n_paths, *(cfg.gene_bounds[name] for name in GENE_BOUNDS))
 
 
 def load_inputs(cfg: RunConfig) -> tuple[PathSet, KSpectrum, list[GeneSpec]]:
@@ -304,9 +299,7 @@ def _csv(header: str, rows) -> list[str]:
 
 
 def _chromosome_lines(chrom: Chromosome, labels) -> list[str]:
-    names = ["delta_e0"]
-    for lbl in labels:
-        names += [f"s02[{lbl}]", f"sigma2[{lbl}]", f"delta_r[{lbl}]"]
+    names = ["delta_e0", *(f"{name}[{lbl}]" for lbl in labels for name in PATH_GENES)]
     return [f"{name} = {g:.6g}" for name, g in zip(names, chrom.to_genes())]
 
 

@@ -11,12 +11,12 @@ strict less-than.  A run is a deterministic function of its inputs and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .fitness import FitnessConfig, SpectrumObjective
-from .model import PathParams
+from .model import NON_NEGATIVE, PATH_GENES, PathParams
 from .paths import PathSet
 from .spectra import KSpectrum
 
@@ -104,32 +104,22 @@ class Chromosome:
 
     @property
     def n_genes(self) -> int:
-        return 1 + 3 * len(self.per_path)
+        return 1 + len(PATH_GENES) * len(self.per_path)
 
     def to_genes(self) -> np.ndarray:
-        out = np.empty(self.n_genes)
-        out[0] = self.delta_e0
-        for i, p in enumerate(self.per_path):
-            out[1 + 3 * i : 4 + 3 * i] = (p.s02, p.sigma2, p.delta_r)
-        return out
+        return np.concatenate([[self.delta_e0], *map(astuple, self.per_path)], dtype=float)
 
     @classmethod
     def from_genes(cls, genes: np.ndarray) -> "Chromosome":
         genes = np.asarray(genes, dtype=float)
-        if genes.size % 3 != 1:
-            raise GAError(f"gene vector length {genes.size} is not 3*n_paths + 1")
-        per_path = tuple(
-            PathParams(
-                s02=float(genes[1 + 3 * i]),
-                sigma2=float(genes[2 + 3 * i]),
-                delta_r=float(genes[3 + 3 * i]),
-            )
-            for i in range((genes.size - 1) // 3)
-        )
-        return cls(delta_e0=float(genes[0]), per_path=per_path)
+        n = len(PATH_GENES)
+        if genes.size % n != 1:
+            raise GAError(f"gene vector length {genes.size} is not {n}*n_paths + 1")
+        return cls(float(genes[0]), [PathParams(*p) for p in genes[1:].reshape(-1, n).tolist()])
 
 
-# Default (lower, upper, step) of each parameter kind, keyed by its [genes] name.
+# Default (lower, upper, step) of each parameter kind, keyed by its [genes]
+# name, in default_gene_specs' argument order.
 GENE_BOUNDS = {
     "delta_e0": (-10.0, 10.0, 0.01),
     "s02": (0.0, 1.2, 0.005),
@@ -146,13 +136,22 @@ def default_gene_specs(
     delta_r_bounds: tuple[float, float, float] = GENE_BOUNDS["delta_r"],
 ) -> list[GeneSpec]:
     """Gene layout [delta_e0, (s02, sigma2, delta_r) per path] with
-    (lower, upper, step) triples per parameter kind."""
-    specs = [GeneSpec("delta_e0", *e0_bounds)]
-    for i in range(n_paths):
-        specs.append(GeneSpec(f"s02_{i}", *s02_bounds))
-        specs.append(GeneSpec(f"sigma2_{i}", *sigma2_bounds))
-        specs.append(GeneSpec(f"delta_r_{i}", *delta_r_bounds))
-    return specs
+    (lower, upper, step) triples per parameter kind; path i's genes are
+    named f"{name}_{i}" for each name in PATH_GENES."""
+    per_path = tuple(zip(PATH_GENES, (s02_bounds, sigma2_bounds, delta_r_bounds)))
+    return [GeneSpec("delta_e0", *e0_bounds),
+            *(GeneSpec(f"{name}_{i}", *b) for i in range(n_paths) for name, b in per_path)]
+
+
+def check_gene_specs(gene_specs, n_paths: int) -> None:
+    """GAError unless gene_specs hold the layout [delta_e0, PATH_GENES of each
+    path] for n_paths paths and no NON_NEGATIVE gene admits a negative value."""
+    if len(gene_specs) != len(PATH_GENES) * n_paths + 1:
+        raise GAError(f"gene specs ({len(gene_specs)}) do not match "
+                      f"{len(PATH_GENES)}*{n_paths} + 1 genes")
+    for spec, kind in zip(gene_specs[1:], PATH_GENES * n_paths):
+        if kind in NON_NEGATIVE and spec.lower < 0:
+            raise GAError(f"{spec.name}: lower bound {spec.lower} admits a negative {kind}")
 
 
 @dataclass(frozen=True)
@@ -491,17 +490,9 @@ def run_ga(
     """Fit the paths' parameters to the data: evolve the gene layout
     [delta_e0, (s02, sigma2, delta_r) per path] against the spectrum
     objective, and report the best chromosome's fit metrics."""
-    n_paths = len(paths)
     if gene_specs is None:
-        gene_specs = default_gene_specs(n_paths)
-    if len(gene_specs) != 3 * n_paths + 1:
-        raise GAError(
-            f"gene specs ({len(gene_specs)}) do not match 3*{n_paths} + 1 genes"
-        )
-    for i, spec in enumerate(gene_specs):
-        if i % 3 and spec.lower < 0:
-            kind = ("s02", "sigma2")[i % 3 - 1]
-            raise GAError(f"{spec.name}: lower bound {spec.lower} admits a negative {kind}")
+        gene_specs = default_gene_specs(len(paths))
+    check_gene_specs(gene_specs, len(paths))
     objective = SpectrumObjective(data, paths, fitness_config)
     genes, fitness, history, exit_reason = evolve(
         objective.evaluate_genes, gene_specs, ga_config

@@ -9,7 +9,7 @@ arrays are linearly interpolated at k'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -23,17 +23,21 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class PathParams:
-    """Fitted parameters of a single path: S0^2, sigma^2 (A^2), delta_r (A)."""
+    """Fitted parameters of a single path: S0^2, sigma^2 (A^2), delta_r (A), in
+    gene order (PATH_GENES); NON_NEGATIVE names those that must be >= 0."""
 
     s02: float
     sigma2: float
     delta_r: float
 
     def __post_init__(self):
-        if self.s02 < 0:
-            raise ModelError(f"s02 must be non-negative, got {self.s02}")
-        if self.sigma2 < 0:
-            raise ModelError(f"sigma2 must be non-negative, got {self.sigma2}")
+        for name in NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ModelError(f"{name} must be non-negative, got {getattr(self, name)}")
+
+
+PATH_GENES = tuple(f.name for f in fields(PathParams))
+NON_NEGATIVE = ("s02", "sigma2")
 
 
 def shift_k(grid: KGrid, delta_e0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +62,7 @@ def path_contribution(
     grid: KGrid,
 ) -> np.ndarray:
     """One summand of the EXAFS equation on the grid; invalid points are 0."""
-    genes = [delta_e0, params.s02, params.sigma2, params.delta_r]
+    genes = [delta_e0, *astuple(params)]
     return ModelEvaluator(PathSet(paths=(path,)), grid).evaluate_paths(genes)[0][0]
 
 

@@ -136,40 +136,47 @@ class RSpectrum:
         return np.abs(self.chi_r)
 
 
+def in_k_range(k: np.ndarray, config: FTConfig) -> np.ndarray:
+    """Mask of the wavenumbers k within 1e-9 of config.k_range: the rule by
+    which check_k_range takes grid points into the fit."""
+    lo, hi = config.k_range
+    return (k >= lo - 1e-9) & (k <= hi + 1e-9)
+
+
 def window_weights(k: np.ndarray, config: FTConfig) -> np.ndarray:
     """Hanning-sill window evaluated at arbitrary wavenumbers.
 
     1 on the plateau [k_lo+sill, k_hi-sill], cosine-squared taper over the
-    sills, 0 outside [k_lo, k_hi].
+    sills, 0 outside in_k_range; a point just past an end weighs as the end.
     """
     k_lo, k_hi = config.k_range
     sill = config.window_sill
     k = np.asarray(k, dtype=float)
     w = np.zeros_like(k)
-    inside = (k >= k_lo) & (k <= k_hi)
+    inside = in_k_range(k, config)
     w[inside] = 1.0
     if sill > 0:
         lo_taper = inside & (k < k_lo + sill)
-        w[lo_taper] = np.sin(0.5 * np.pi * (k[lo_taper] - k_lo) / sill) ** 2
+        w[lo_taper] = np.sin(0.5 * np.pi * np.maximum(k[lo_taper] - k_lo, 0.0) / sill) ** 2
         hi_taper = inside & (k > k_hi - sill)
-        w[hi_taper] = np.sin(0.5 * np.pi * (k_hi - k[hi_taper]) / sill) ** 2
+        w[hi_taper] = np.sin(0.5 * np.pi * np.maximum(k_hi - k[hi_taper], 0.0) / sill) ** 2
     return w
 
 
 def check_k_range(config: FTConfig, grid: KGrid) -> slice:
     """The slice of grid points in config.k_range; TransformConfigError unless
     that range lies on grid (within 1e-9) and holds 1 to config.n_fft points.
-    A point within 1e-9 of an end counts as inside, so an end written as a
-    grid point's decimal holds that point whichever way it rounds."""
+    A point within 1e-9 of an end counts as inside (in_k_range), so an end
+    written as a grid point's decimal holds that point whichever way it rounds."""
     lo, hi = config.k_range
     if lo < grid.k_min - 1e-9 or hi > grid.k_max + 1e-9:
         raise TransformConfigError(
             f"k_range [{lo}, {hi}] extends beyond the grid [{grid.k_min}, {grid.k_max}]"
         )
-    start = int(np.searchsorted(grid.ks, lo - 1e-9))
-    stop = int(np.searchsorted(grid.ks, hi + 1e-9, side="right"))
-    if stop == start:
+    inside = np.flatnonzero(in_k_range(grid.ks, config))
+    if not inside.size:
         raise TransformConfigError(f"k_range [{lo}, {hi}] contains no grid samples")
+    start, stop = int(inside[0]), int(inside[-1]) + 1
     if config.n_fft < stop - start:
         raise TransformConfigError(f"n_fft={config.n_fft} smaller than {stop - start} "
                                    "in-range samples")
@@ -246,8 +253,7 @@ def k_to_r_map(grid: KGrid, config: FTConfig) -> KToRMap:
     n_fft = config.n_fft
     n = np.arange(n_fft)
     kk = grid.delta_k * n
-    keep_n = (kk >= config.k_range[0]) & (kk <= config.k_range[1])
-    keep_n &= (kk >= k[0]) & (kk <= k[-1])
+    keep_n = in_k_range(kk, config) & (kk >= k[0]) & (kk <= k[-1])
     n, kk = n[keep_n], kk[keep_n]
     # Row i of interp holds the weights np.interp gives chi at kk[i].
     j = np.clip(np.searchsorted(k, kk, side="right") - 1, 0, k.size - 2)

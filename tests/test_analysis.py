@@ -12,7 +12,7 @@ from exafsga.analysis import (
     synth_generate,
 )
 from exafsga.fitness import FitnessConfig, FitnessError, SpectrumObjective
-from exafsga.ga import Chromosome, GAConfig, GAError, GeneSpec, run_ga
+from exafsga.ga import Chromosome, GAConfig, GAError, GeneSpec, default_gene_specs, run_ga
 from exafsga.model import ModelError, PathParams, evaluate_model
 from exafsga.paths import PathSet, synth_path
 from exafsga.spectra import FTConfig, KGrid, check_k_range
@@ -257,6 +257,21 @@ class TestErrorAnalysis:
         expected = rf"^{name} range \({low_high[0]}, {low_high[1]}\) is reversed$"
         with pytest.raises(AnalysisError, match=expected):
             error_analysis(data, paths, ga, fitness, n_runs=2, ranges={name: low_high})
+
+    @pytest.mark.parametrize("specs, message", [
+        ([GeneSpec(s.name, -0.1, 1.0, 0.005) if s.name == "s02_1" else s
+          for s in default_gene_specs(2)], r"^s02_1: lower bound -0\.1 admits a negative s02$"),
+        (default_gene_specs(3), r"^gene specs \(10\) do not match 3\*2 \+ 1 genes$"),
+    ], ids=["negative-s02", "three-paths-on-two"])
+    def test_bad_gene_layout_raises_before_any_member(self, monkeypatch, specs, message):
+        paths, truth, data, fitness, ga = small_problem()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        with pytest.raises(GAError, match=message):
+            error_analysis(data, paths, ga, fitness, n_runs=2, gene_specs=specs)
 
     def test_failed_members_are_recorded_and_left_out(self, monkeypatch):
         paths, truth, data, fitness, ga = small_problem()

@@ -414,6 +414,7 @@ class TestMainMalformedValues:
         ("benchmark", "benchmark", "n_paths", "", "needs one or more values"),
         ("fit", "genes", "s02", "1.0 0.5 0.005", "s02: lower must be < upper"),
         ("fit", "genes", "s02", "0 1e300 1e-300", "s02: more than 2^32 quantization levels"),
+        ("fit", "genes", "sigma2", "-0.01 0.01 0.0001", "must be at least 0.0"),
         ("fit", "genes", "delta_e0", "1e8 100000000.000001 1e-8", "delta_e0: step too fine for "
          "the float spacing of the bounds; two levels could decode to one value"),
         ("fit", "grid", "k_min", "nan", "not a finite number"),
@@ -441,6 +442,10 @@ class TestMainMalformedValues:
         ("fitness", "n_indep = 0", "n_indep must be positive"),
         ("fitness", "k_weight = 5", "k_weight must be in 0..3, got 5"),
         ("synth", "s02 = -0.1\nsigma2 = 0.003\ndelta_r = 0", "s02 must be non-negative, got -0.1"),
+        ("synth", "s02 = 0.7\nsigma2 = -0.003\ndelta_r = 0",
+         "sigma2 must be non-negative, got -0.003"),
+        ("synth", "s02 = 0.7 0.5\nsigma2 = 0.003\ndelta_r = 0",
+         "s02, sigma2, delta_r lists must match in length"),
     ])
     def test_rejected_value_names_section(self, tmp_path, capsys, monkeypatch, section, setting,
                                           reason):

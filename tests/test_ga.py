@@ -770,6 +770,7 @@ class TestChromosome:
         chrom = Chromosome(
             -1.5, (PathParams(0.5, 0.004, 0.01), PathParams(0.7, 0.002, -0.03))
         )
+        assert chrom.to_genes().tolist() == [-1.5, 0.5, 0.004, 0.01, 0.7, 0.002, -0.03]
         again = Chromosome.from_genes(chrom.to_genes())
         assert again == chrom
         assert chrom.n_genes == 7

@@ -5,6 +5,7 @@ from exafsga.ga import Chromosome
 from exafsga.model import (
     ModelError,
     ModelEvaluator,
+    PATH_GENES,
     PathParams,
     evaluate_model,
     evaluate_model_masked,
@@ -54,6 +55,20 @@ def naive_model(ps, delta_e0, params, grid):
                 * np.sin(2 * kp * r + phi + dc)
             )
     return expected
+
+
+class TestPathParams:
+    def test_fields_are_the_path_genes_in_order(self):
+        assert PATH_GENES == ("s02", "sigma2", "delta_r")
+        assert PathParams(0.7, 0.003, -0.02).sigma2 == 0.003
+
+    @pytest.mark.parametrize("values, message", [
+        ((-0.1, 0.003, 0.0), r"^s02 must be non-negative, got -0\.1$"),
+        ((0.7, -0.003, 0.0), r"^sigma2 must be non-negative, got -0\.003$"),
+    ])
+    def test_negative_s02_or_sigma2_rejected(self, values, message):
+        with pytest.raises(ModelError, match=message):
+            PathParams(*values)
 
 
 class TestShiftK:

@@ -127,6 +127,12 @@ class TestWindow:
         assert w[np.argmin(np.abs(grid.ks - 2.0))] == pytest.approx(0.0, abs=1e-15)
         assert w[np.argmin(np.abs(grid.ks - 2.5))] == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("window_sill, weight", [(0.0, 1.0), (1.0, 0.0)])
+    def test_point_just_past_an_end_weighs_as_the_end(self, window_sill, weight):
+        cfg = FTConfig(k_range=(2.0, 12.0), window_sill=window_sill)
+        w = window_weights(np.array([2.0 - 5e-10, 12.0 + 5e-10, 2.0 - 2e-9, 12.0 + 2e-9]), cfg)
+        assert w.tolist() == [weight, weight, 0.0, 0.0]
+
     def test_weights_in_unit_interval(self, grid):
         cfg = FTConfig(k_range=(2.5, 11.5), window_sill=1.5)
         w = window_weights(grid.ks, cfg)
@@ -181,6 +187,12 @@ class TestCheckKRange:
             high = FTConfig(k_range=(end, grid.k_max), window_sill=0.0)
             assert check_k_range(low, grid) == slice(0, i + 1)
             assert check_k_range(high, grid) == slice(i, grid.n_points)
+
+    def test_the_transform_reads_the_points_the_fit_holds(self, grid):
+        # Without a sill the window weighs ks[41] = 2.5500000000000003, which
+        # the range's end 2.55 holds, as the fit does.
+        cfg = FTConfig(k_range=(2.5, 2.55), window_sill=0.0)
+        assert k_to_r_map(grid, cfg).columns == check_k_range(cfg, grid) == slice(40, 42)
 
     def test_is_the_check_of_the_transform(self, grid):
         spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
