@@ -103,7 +103,7 @@ class SpectrumObjective:
     fit k_range must pass check_k_range on the data's grid (FitnessError).
 
     The model is evaluated only on the slice of the grid these comparisons
-    read: the hull of the fit k_range and the support of the k->r transform
+    read: the hull of the fit k_range and the columns of the k->r transform
     (KToRMap.columns), in every space, since report() reads both.  That is
     exact: K-space chi^2 reads the same elements in the same order, and the
     model points left out meet only exact zeros of the transform matrix.
@@ -127,8 +127,6 @@ class SpectrumObjective:
         self._data_r = transform_k_to_r(data, config.ft).magnitude
         self._to_r = k_to_r_map(self.grid, config.ft)
         cols = self._to_r.columns
-        if cols.start == cols.stop:
-            cols = fit
         points = slice(min(fit.start, cols.start), max(fit.stop, cols.stop))
         self._evaluator = ModelEvaluator(paths, self.grid, points=points)
         self._in_k = config.space in ("K", "K+R")

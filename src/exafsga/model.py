@@ -120,12 +120,10 @@ class ModelEvaluator:
             raise ModelError(f"points {points} is not a nonempty slice of step 1")
         self.deg = np.array([p.degeneracy for p in paths])
         self.r_eff = np.array([p.r_eff for p in paths])
-        self._kt_lo = np.array([p.k_theory[0] for p in paths])
-        self._kt_hi = np.array([p.k_theory[-1] for p in paths])
         # The theory range each path admits for shifted k, with 1e-9 slack,
         # and the range every path admits.
-        self._kp_min = self._kt_lo - 1e-9
-        self._kp_max = self._kt_hi + 1e-9
+        self._kp_min = np.array([p.k_theory[0] for p in paths]) - 1e-9
+        self._kp_max = np.array([p.k_theory[-1] for p in paths]) + 1e-9
         self._kp_lo, self._kp_hi = float(self._kp_min.max()), float(self._kp_max.min())
         by_grid: dict[bytes, list[int]] = {}
         for i, p in enumerate(paths):
@@ -160,10 +158,10 @@ class ModelEvaluator:
             # its smallest and largest shifted k.
             lo, hi = kp[first], kp[-1]
             if lo < self._kp_lo or hi > self._kp_hi:
-                i = int(np.argmax((lo < self._kp_min) | (hi > self._kp_max)))
+                bad = self.paths.paths[int(np.argmax((lo < self._kp_min) | (hi > self._kp_max)))]
                 raise ModelError(
-                    f"path {self.paths.paths[i].label}: shifted k in [{lo:.3f}, {hi:.3f}]"
-                    f" outside theory range [{self._kt_lo[i]:.3f}, {self._kt_hi[i]:.3f}]"
+                    f"path {bad.label}: shifted k in [{lo:.3f}, {hi:.3f}] outside theory"
+                    f" range [{bad.k_theory[0]:.3f}, {bad.k_theory[-1]:.3f}]"
                 )
         used = slice(max(first, self._start), self._stop)
         kv = kp[used]
@@ -206,14 +204,15 @@ class ModelEvaluator:
     def _terms(self, genes: np.ndarray) -> tuple[np.ndarray, int, slice]:
         """Per-path summands at the evaluated points, shape (n_paths, n_used),
         the first valid index and the slice of evaluated points."""
-        if genes.size != 1 + 3 * self.n_paths:
+        n = len(PATH_GENES)
+        if genes.size != 1 + n * self.n_paths:
             raise ModelError(f"{genes.size} genes for {self.n_paths} paths")
         first, used, kv, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
         if kv.size == 0:
             return np.empty((self.n_paths, 0)), first, used
-        s02 = genes[1::3]
-        sigma2 = genes[2::3]
-        r = self.r_eff + genes[3::3]
+        s02 = genes[1::n]
+        sigma2 = genes[2::n]
+        r = self.r_eff + genes[3::n]
         if np.minimum.reduce(r) <= 0:
             bad = int(np.argmax(r <= 0))
             raise ModelError(

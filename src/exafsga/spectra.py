@@ -152,15 +152,11 @@ def window_weights(k: np.ndarray, config: FTConfig) -> np.ndarray:
     k_lo, k_hi = config.k_range
     sill = config.window_sill
     k = np.asarray(k, dtype=float)
-    w = np.zeros_like(k)
     inside = in_k_range(k, config)
-    w[inside] = 1.0
-    if sill > 0:
-        lo_taper = inside & (k < k_lo + sill)
-        w[lo_taper] = np.sin(0.5 * np.pi * np.maximum(k[lo_taper] - k_lo, 0.0) / sill) ** 2
-        hi_taper = inside & (k > k_hi - sill)
-        w[hi_taper] = np.sin(0.5 * np.pi * np.maximum(k_hi - k[hi_taper], 0.0) / sill) ** 2
-    return w
+    if sill == 0:
+        return inside.astype(float)
+    edge = np.clip(np.minimum(k - k_lo, k_hi - k), 0.0, sill)
+    return np.where(inside, np.sin(0.5 * np.pi * edge / sill) ** 2, 0.0)
 
 
 def check_k_range(config: FTConfig, grid: KGrid) -> slice:
@@ -202,38 +198,29 @@ def check_r_range(config: FTConfig, grid: KGrid) -> slice:
 
 class KToRMap:
     """The k->r transform of one (KGrid, FTConfig) as a linear map on chi(k)
-    arrays: chi(r) = M @ chi(k), applied as A @ chi(k)[support].
+    arrays: chi(r) = M @ chi(k), applied as matrix @ chi(k)[columns].
 
     The complex matrix M folds the linear interpolation of chi onto
-    n*delta_k (0 outside the grid), the window, k^w, the
-    i*delta_k/sqrt(pi*n_fft) factor and the DFT rows of the r-points inside
-    r_range.  support marks the columns of M holding a nonzero entry: the
-    grid points the transform reads, chi elsewhere having no effect.  The
-    matrix A is real, of shape (2*n_r, n_support): rows 2m and 2m+1 hold
-    Re M[m] and Im M[m] on the support's columns, so chi is never cast to
+    n*delta_k (a point within 1e-9 past the grid's end reads the end value,
+    as np.interp does), the window, k^w, the i*delta_k/sqrt(pi*n_fft)
+    factor and the DFT rows of the r-points inside r_range.  columns spans
+    M's columns from the first that holds a nonzero entry to the last (an
+    empty slice at the fit slice's start when M is all zero): chi elsewhere
+    has no effect.  matrix is real, of shape (2*n_r, n_columns): rows 2m and
+    2m+1 hold Re M[m] and Im M[m] on those columns, so chi is never cast to
     complex and the product's memory already is chi(r) as complex numbers.
-    r, support and A are read-only.
-
-    The support is one contiguous run of grid points: the window is positive
-    strictly inside k_range, and each transformed point n*delta_k reads the
-    two adjacent grid points around it.  The map checks that once, when it
-    is built, and reads chi through the slice the run spans, its columns.
+    r and matrix are read-only.
     """
 
-    __slots__ = ("r", "support", "matrix", "columns")
+    __slots__ = ("r", "columns", "matrix")
 
-    def __init__(self, r: np.ndarray, support: np.ndarray, matrix: np.ndarray):
-        self.r, self.support, self.matrix = r, support, matrix
-        cols = np.flatnonzero(support)
-        start = int(cols[0]) if cols.size else 0
-        if cols.size and cols[-1] - start + 1 != cols.size:
-            raise TransformConfigError("k->r support is not one contiguous run of grid points")
-        self.columns = slice(start, start + cols.size)
+    def __init__(self, r: np.ndarray, columns: slice, matrix: np.ndarray):
+        self.r, self.columns, self.matrix = r, columns, matrix
 
     def __call__(self, chi: np.ndarray) -> np.ndarray:
         """Complex chi(r) on self.r of a float chi(k) array on the map's grid.
 
-        Nothing is checked: chi is read on the support's columns (a chi too
+        Nothing is checked: chi is read on the map's columns (a chi too
         short for them fails in the product), and a non-finite chi gives a
         non-finite chi(r).  transform_k_to_r is the checked, spectrum-level
         call."""
@@ -247,17 +234,19 @@ def k_to_r_map(grid: KGrid, config: FTConfig) -> KToRMap:
 
     A caller that transforms many chi(k) arrays on one grid, such as a
     fitness objective, binds the map once and calls it on each array."""
-    check_k_range(config, grid)
+    fit = check_k_range(config, grid)
     r_points = check_r_range(config, grid)
     k = grid.ks
     n_fft = config.n_fft
     n = np.arange(n_fft)
     kk = grid.delta_k * n
-    keep_n = in_k_range(kk, config) & (kk >= k[0]) & (kk <= k[-1])
+    keep_n = in_k_range(kk, config)
     n, kk = n[keep_n], kk[keep_n]
-    # Row i of interp holds the weights np.interp gives chi at kk[i].
-    j = np.clip(np.searchsorted(k, kk, side="right") - 1, 0, k.size - 2)
-    t = (kk - k[j]) / (k[j + 1] - k[j])
+    # Row i of interp holds the weights np.interp gives chi at kk[i]; a kk
+    # past an end of the grid (check_k_range allows 1e-9) reads that end.
+    x = np.clip(kk, k[0], k[-1])
+    j = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
+    t = (x - k[j]) / (k[j + 1] - k[j])
     rows = np.arange(kk.size)
     interp = np.zeros((kk.size, k.size))
     interp[rows, j] = 1.0 - t
@@ -268,12 +257,16 @@ def k_to_r_map(grid: KGrid, config: FTConfig) -> KToRMap:
     dft = np.exp(2j * np.pi * (np.outer(m, n) % n_fft) / n_fft)
     weight = window_weights(kk, config) * kk**config.k_weight
     matrix = (1j * grid.delta_k / np.sqrt(np.pi * n_fft)) * (dft * weight) @ interp
-    support = np.any(matrix != 0, axis=0)
-    real = np.stack([matrix.real[:, support], matrix.imag[:, support]], axis=1)
-    real = real.reshape(2 * r.size, np.count_nonzero(support))
-    for a in (r, support, real):
+    read = np.flatnonzero(np.any(matrix != 0, axis=0))
+    start, stop = (int(read[0]), int(read[-1]) + 1) if read.size else (fit.start, fit.start)
+    # An index array, not a slice: the gather sets the layout of real, and
+    # with it the last bits of the product.
+    cols = np.arange(start, stop)
+    real = np.stack([matrix.real[:, cols], matrix.imag[:, cols]], axis=1)
+    real = real.reshape(2 * r.size, cols.size)
+    for a in (r, real):
         a.setflags(write=False)
-    return KToRMap(r, support, real)
+    return KToRMap(r, slice(start, stop), real)
 
 
 def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
@@ -281,12 +274,13 @@ def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
 
     chi(r_m) = (i*delta_k/sqrt(pi*n_fft)) * sum_n f_n exp(2i*pi*n*m/n_fft)
     with f_n the windowed, k^w-weighted chi linearly interpolated at
-    n*delta_k (0 outside k_range and the grid), r_m = m*pi/(n_fft*delta_k),
-    and the output cropped to r_range.
+    n*delta_k (0 outside k_range; a point within 1e-9 past the grid's end
+    reads the end value), r_m = m*pi/(n_fft*delta_k), and the output
+    cropped to r_range.
 
     The sum is applied as the cached k_to_r_map of (spec.grid, config), one
-    real (2*n_r, n_support) matrix times chi on its support, so a call
-    costs O(n_r * n_support) instead of an FFT's O(n_fft log n_fft), after
+    real (2*n_r, n_columns) matrix times chi on its columns, so a call
+    costs O(n_r * n_columns) instead of an FFT's O(n_fft log n_fft), after
     5-33 ms to build the matrix once per (grid, config).  It wins while
     r_range and the grid are short: with n_fft = 2048 on a 0.05 A^-1 grid
     over 0.5-13 A^-1 and k_range 2.5-12.5, 17-20 us per call against the

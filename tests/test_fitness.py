@@ -204,7 +204,7 @@ class TestSpectrumObjective:
 
 class TestRestrictedEvaluation:
     """The objective evaluates the model only at the fit range and the
-    transform's support; its results equal a full-grid evaluation exactly."""
+    transform's columns; its results equal a full-grid evaluation exactly."""
 
     # Grid points at 0.52 + 0.05 i, transform samples at 0.05 n: with no sill
     # the transform reads 2.52 and 11.97, just outside the fit k-range.
@@ -225,8 +225,9 @@ class TestRestrictedEvaluation:
     def test_support_reaches_outside_the_fit_range(self):
         k = self.GRID.ks
         k_mask = (k >= self.FT.k_range[0]) & (k <= self.FT.k_range[1])
-        outside = k_to_r_map(self.GRID, self.FT).support & ~k_mask
-        assert np.count_nonzero(outside) == 2
+        read = np.zeros(k.size, dtype=bool)
+        read[k_to_r_map(self.GRID, self.FT).columns] = True
+        assert np.count_nonzero(read & ~k_mask) == 2
 
     @pytest.mark.parametrize("sill", [0.0, 1.0])
     @pytest.mark.parametrize("space", ["K", "R", "K+R"])
@@ -260,14 +261,15 @@ class TestRestrictedEvaluation:
     def test_shift_past_theory_range_outside_points_raises(self):
         # The theory arrays end at 12.6; a -10 eV shift takes only the
         # grid's last points, outside the fit range and the transform's
-        # support, past that end.
+        # columns, past that end.
         grid = KGrid(0.5, 12.5, 0.05)
         paths = PathSet(paths=(synth_path(2.5, 6, grid, label="p", k_pad=0.1),))
         data = evaluate_model(paths, Chromosome(0.0, (PathParams(0.7, 0.004, 0.0),)), grid)
         ft = FTConfig(k_range=(2.0, 11.0))
         obj = SpectrumObjective(data, paths, FitnessConfig(ft=ft))
         k = grid.ks
-        points = ((k >= 2.0) & (k <= 11.0)) | k_to_r_map(grid, ft).support
+        points = (k >= 2.0) & (k <= 11.0)
+        points[k_to_r_map(grid, ft).columns] = True
         genes = np.array([-10.0, 0.7, 0.004, 0.0])
         assert not points[-1]
         assert np.sqrt(k[points][-1] ** 2 + 10.0 * EV_TO_KSQ) < paths.paths[0].k_theory[-1]
@@ -396,13 +398,14 @@ class TestFitRangeOnGrid:
     def test_empty_transform_support_evaluates_the_fit_range(self):
         # Grid points sit at odd multiples of 0.025 and the transform at
         # multiples of 0.05, so k_range holds one grid point (2.525) and no
-        # transformed point: the map reads no column.
+        # transformed point: the map reads no column, an empty slice at the
+        # fit's start.
         grid = KGrid(0.525, 12.525, 0.05)
         paths = PathSet(paths=(synth_path(2.5, 6, grid, label="p"),))
         truth = Chromosome(0.0, (PathParams(0.8, 0.004, 0.0),))
         data = evaluate_model(paths, truth, grid)
         ft = FTConfig(k_range=(2.52, 2.53), window_sill=0.0)
-        assert k_to_r_map(grid, ft).columns == slice(0, 0)
+        assert k_to_r_map(grid, ft).columns == slice(40, 40)
         obj = SpectrumObjective(data, paths, FitnessConfig(ft=ft))
         trial = Chromosome(0.0, (PathParams(0.6, 0.004, 0.0),))
         model = evaluate_model(paths, trial, grid).chi

@@ -134,15 +134,18 @@ class TestWindow:
         assert w.tolist() == [weight, weight, 0.0, 0.0]
 
     def test_weights_in_unit_interval(self, grid):
-        cfg = FTConfig(k_range=(2.5, 11.5), window_sill=1.5)
-        w = window_weights(grid.ks, cfg)
-        assert np.all((w >= 0.0) & (w <= 1.0))
+        # A sill of half the range has the two tapers meet at its midpoint.
+        for sill in (1.5, 4.5):
+            cfg = FTConfig(k_range=(2.5, 11.5), window_sill=sill)
+            w = window_weights(grid.ks, cfg)
+            assert np.all((w >= 0.0) & (w <= 1.0))
 
     def test_symmetric_about_fit_midpoint(self):
         grid = KGrid(k_min=2.0, k_max=12.0, delta_k=0.05)
-        cfg = FTConfig(k_range=(2.0, 12.0), window_sill=1.5)
-        w = window_weights(grid.ks, cfg)
-        assert np.allclose(w, w[::-1], atol=1e-12)
+        for sill in (1.5, 5.0):
+            cfg = FTConfig(k_range=(2.0, 12.0), window_sill=sill)
+            w = window_weights(grid.ks, cfg)
+            assert np.allclose(w, w[::-1], atol=1e-12)
 
     def test_sill_too_wide(self, grid):
         with pytest.raises(TransformConfigError):
@@ -193,6 +196,13 @@ class TestCheckKRange:
         # the range's end 2.55 holds, as the fit does.
         cfg = FTConfig(k_range=(2.5, 2.55), window_sill=0.0)
         assert k_to_r_map(grid, cfg).columns == check_k_range(cfg, grid) == slice(40, 42)
+        # The transformed point 247*0.05 = 12.350000000000001 lies just past
+        # the grid's last point 12.35, and reads it.
+        grid = KGrid(0.35, 12.35, 0.05)
+        cfg = FTConfig(k_range=(2.35, 12.35), window_sill=0.0)
+        assert k_to_r_map(grid, cfg).columns == check_k_range(cfg, grid) == slice(40, 241)
+        unit = KSpectrum(grid=grid, chi=np.eye(grid.n_points)[240])
+        assert np.any(transform_k_to_r(unit, cfg).chi_r != 0)
 
     def test_is_the_check_of_the_transform(self, grid):
         spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
@@ -257,22 +267,23 @@ class TestTransform:
     def test_chi_outside_support_transforms_to_zero(self):
         grid = KGrid(k_min=0.5, k_max=6.0, delta_k=0.1)
         cfg = FTConfig(k_range=(1.0, 5.5), n_fft=64, window_sill=0.5, r_range=(0, 20))
-        support = k_to_r_map(grid, cfg).support
-        assert 0 < np.count_nonzero(support) < grid.n_points
-        chi = np.where(support, 0.0, np.random.default_rng(5).normal(size=grid.n_points))
+        cols = k_to_r_map(grid, cfg).columns
+        assert 0 < cols.stop - cols.start < grid.n_points
+        chi = np.random.default_rng(5).normal(size=grid.n_points)
+        chi[cols] = 0.0
         out = transform_k_to_r(KSpectrum(grid=grid, chi=chi), cfg)
         assert np.all(out.chi_r == 0)
 
     def test_support_is_the_columns_read(self):
-        # Grid point j is read iff the unit spectrum at j has a nonzero
-        # transform, by the product and by the direct sum alike.
+        # Grid point j is in the map's columns iff the unit spectrum at j has
+        # a nonzero transform, by the product and by the direct sum alike.
         grid = KGrid(k_min=0.5, k_max=6.0, delta_k=0.1)
         cfg = FTConfig(k_range=(1.0, 5.5), n_fft=64, window_sill=0.5, r_range=(0, 20))
-        support = k_to_r_map(grid, cfg).support
+        cols = range(grid.n_points)[k_to_r_map(grid, cfg).columns]
         for j in range(grid.n_points):
             unit = KSpectrum(grid=grid, chi=np.eye(grid.n_points)[j])
-            assert np.any(transform_k_to_r(unit, cfg).chi_r != 0) == support[j]
-            assert np.any(direct_transform(unit, cfg)[1] != 0) == support[j]
+            assert np.any(transform_k_to_r(unit, cfg).chi_r != 0) == (j in cols)
+            assert np.any(direct_transform(unit, cfg)[1] != 0) == (j in cols)
 
     def test_map_is_the_unchecked_transform(self, grid):
         cfg = FTConfig(k_range=(2.0, 12.0), n_fft=512)
@@ -281,7 +292,7 @@ class TestTransform:
         out = transform_k_to_r(KSpectrum(grid=grid, chi=chi), cfg)
         assert np.array_equal(to_r.r, out.r) and np.array_equal(to_r(chi), out.chi_r)
         assert to_r is k_to_r_map(grid, cfg)
-        chi[to_r.support.argmax()] = np.nan
+        chi[to_r.columns.start] = np.nan
         assert not np.all(np.isfinite(to_r(chi)))
         with pytest.raises(SpectrumError, match="non-finite"):
             transform_k_to_r(KSpectrum(grid=grid, chi=chi), cfg)
