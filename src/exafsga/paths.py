@@ -19,12 +19,30 @@ from .spectra import KGrid
 
 
 class PathParseError(ValueError):
-    """Malformed scattering-path file."""
+    """Malformed scattering-path file or theory data.  ``sample`` is the index
+    of the first theory sample that breaks a per-sample rule of ScatteringPath
+    (finite values, k order, lambda > 0), else None."""
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message)
+        self.sample = sample
+
+
+def _check_samples(bad: np.ndarray, message: str) -> None:
+    """Raise PathParseError(message) at the first sample where bad is True."""
+    idx = np.flatnonzero(bad)
+    if idx.size:
+        raise PathParseError(message, int(idx[0]))
 
 
 @dataclass(frozen=True)
 class ScatteringPath:
-    """Per-path theory arrays and geometry from a FEFF-style calculation."""
+    """Per-path theory arrays and geometry from a FEFF-style calculation.
+
+    The constructor is the one statement of a path's rules: degeneracy and
+    r_eff finite and positive; finite arrays of one length, at least two
+    samples; k_theory strictly increasing; lam positive.
+    """
 
     label: str
     degeneracy: float
@@ -37,23 +55,18 @@ class ScatteringPath:
     real_p: np.ndarray | None = None
 
     def __post_init__(self):
-        arrays = {
-            "k_theory": self.k_theory,
-            "f_eff": self.f_eff,
-            "phase_scatter": self.phase_scatter,
-            "phase_central": self.phase_central,
-            "lam": self.lam,
-        }
-        if self.real_p is not None:
-            arrays["real_p"] = self.real_p
         for name in ("degeneracy", "r_eff"):
-            if not np.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not np.isfinite(value):
                 raise PathParseError(f"path {self.label}: {name} is not finite")
+            if value <= 0:
+                raise PathParseError(f"{name} must be positive")
         n = None
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise PathParseError(f"path {self.label}: {name} has non-finite values")
+        for name in ("k_theory", "f_eff", "phase_scatter", "phase_central", "lam", "real_p"):
+            if name == "real_p" and self.real_p is None:
+                continue
+            arr = np.asarray(getattr(self, name), dtype=float)
+            _check_samples(~np.isfinite(arr), f"path {self.label}: {name} has non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
             if n is None:
@@ -62,14 +75,9 @@ class ScatteringPath:
                 raise PathParseError(f"{name} length {arr.shape} != {n}")
         if n < 2:
             raise PathParseError("need at least two theory samples")
-        if not np.all(np.diff(self.k_theory) > 0):
-            raise PathParseError("k_theory not strictly increasing")
-        if self.degeneracy <= 0:
-            raise PathParseError("degeneracy must be positive")
-        if self.r_eff <= 0:
-            raise PathParseError("r_eff must be positive")
-        if not np.all(self.lam > 0):
-            raise PathParseError("lambda must be positive everywhere")
+        _check_samples(np.diff(self.k_theory, prepend=-np.inf) <= 0,
+                       "k_theory not strictly increasing")
+        _check_samples(self.lam <= 0, "lambda must be positive everywhere")
 
 
 @dataclass(frozen=True)
@@ -149,36 +157,24 @@ def parse_feff_path(file_content: str, label: str = "path") -> ScatteringPath:
     if data_start is None:
         raise PathParseError("no data rows found")
 
-    rows = []
-    for i in range(data_start, len(body)):
-        line = body[i]
-        if not line.strip():
-            continue
-        lineno = sep_idx + 2 + i
-        rows.append((lineno, _parse_floats(line, lineno, 7)))
-    if len(rows) < 2:
-        raise PathParseError("fewer than two data rows")
-
-    cols = np.array([r[1][:7] for r in rows], dtype=float)
-    k = cols[:, 0]
-    for j in range(1, len(rows)):
-        if k[j] <= k[j - 1]:
-            raise PathParseError(f"line {rows[j][0]}: k not strictly increasing")
-    for j in range(len(rows)):
-        if cols[j, 5] <= 0:
-            raise PathParseError(f"line {rows[j][0]}: non-positive lambda")
-
-    return ScatteringPath(
-        label=label,
-        degeneracy=degeneracy,
-        r_eff=r_eff,
-        k_theory=k,
-        phase_central=cols[:, 1],
-        f_eff=cols[:, 2],
-        phase_scatter=cols[:, 3],
-        lam=cols[:, 5],
-        real_p=cols[:, 6],
-    )
+    rows = [(sep_idx + 2 + i, body[i]) for i in range(data_start, len(body)) if body[i].strip()]
+    cols = np.array([_parse_floats(ln, lineno, 7)[:7] for lineno, ln in rows]).reshape(-1, 7)
+    try:
+        return ScatteringPath(
+            label=label,
+            degeneracy=degeneracy,
+            r_eff=r_eff,
+            k_theory=cols[:, 0],
+            phase_central=cols[:, 1],
+            f_eff=cols[:, 2],
+            phase_scatter=cols[:, 3],
+            lam=cols[:, 5],
+            real_p=cols[:, 6],
+        )
+    except PathParseError as exc:
+        if exc.sample is None:
+            raise
+        raise PathParseError(f"line {rows[exc.sample][0]}: {exc}", exc.sample) from None
 
 
 def _parse_numeric_prefix(line: str, lineno: int, n: int) -> list[float]:
@@ -277,9 +273,9 @@ def synth_path(
     F(k) = amp_scale * k * exp(-k^2/100), phi(k) = -0.3 k, delta_c = 0,
     lambda = lambda_const.  The theory arrays extend from k = 0 to
     grid.k_max + k_pad so that moderate energy-origin shifts stay in range.
+    amp_scale must be non-negative; r_eff, degeneracy and lambda_const are
+    checked by ScatteringPath's rules.
     """
-    if r_eff <= 0 or degeneracy <= 0 or lambda_const <= 0:
-        raise PathParseError("r_eff, degeneracy, and lambda_const must be positive")
     if amp_scale < 0:
         raise PathParseError("amp_scale must be non-negative")
     k = np.arange(0.0, grid.k_max + k_pad + grid.delta_k / 2, grid.delta_k)

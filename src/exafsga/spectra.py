@@ -332,15 +332,13 @@ def read_chi_file(path) -> tuple[np.ndarray, np.ndarray]:
                 raise SpectrumError(f"{path}:{lineno}: non-finite value")
             if k < 0:
                 raise SpectrumError(f"{path}:{lineno}: negative k")
+            if ks and k <= ks[-1]:
+                raise SpectrumError(f"{path}:{lineno}: k not strictly increasing")
             ks.append(k)
             chis.append(chi)
     if len(ks) < 2:
         raise SpectrumError(f"{path}: fewer than two data rows")
-    k = np.asarray(ks)
-    if not np.all(np.diff(k) > 0):
-        bad = int(np.argmax(np.diff(k) <= 0))
-        raise SpectrumError(f"{path}: k not strictly increasing near row {bad + 1}")
-    return k, np.asarray(chis)
+    return np.asarray(ks), np.asarray(chis)
 
 
 def load_data(path, grid: KGrid) -> KSpectrum:

@@ -498,8 +498,10 @@ class TestMainMalformedValues:
 
     @pytest.mark.parametrize("mode", ["fit", "synth"])
     @pytest.mark.parametrize("values, reason", [
-        ("-2.3 6 1", "r_eff, degeneracy, and lambda_const must be positive"),
-        ("2.3 6 1 0", "r_eff, degeneracy, and lambda_const must be positive"),
+        pytest.param("-2.3 6 1", "r_eff must be positive",
+                     id="-2.3 6 1-r_eff, degeneracy, and lambda_const must be positive"),
+        pytest.param("2.3 6 1 0", "lambda must be positive everywhere",
+                     id="2.3 6 1 0-r_eff, degeneracy, and lambda_const must be positive"),
         ("2.3 6 -1", "amp_scale must be non-negative"),
     ])
     def test_synth_path(self, tmp_path, capsys, monkeypatch, mode, values, reason):
@@ -537,6 +539,31 @@ class TestMainInputErrors:
         assert main(["fit", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"input error: {tmp_path / 'shell1.dat'}:{bad}: non-numeric value" in err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("column", [0, 1, 2, 3, 5, 6])
+    def test_non_finite_path_value(self, tmp_path, capsys, monkeypatch, column, value):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        grid = KGrid(0.5, 12.5, 0.05)
+        lines = serialize_feff_path(synth_path(2.3, 6, grid, label="shell1")).splitlines()
+        bad = len(lines) - 3  # a data row, numbered from 1
+        row = lines[bad - 1].split()
+        row[column] = value
+        lines[bad - 1] = " ".join(row)
+        (tmp_path / "shell1.dat").write_text("\n".join(lines) + "\n")
+        (tmp_path / "paths.manifest").write_text("shell1.dat\n")
+        cfg = write_config(tmp_path, f"""
+            [run]
+            mode = fit
+            output_dir = {tmp_path / "out"}
+            data_file = unread.dat
+            path_manifest = {tmp_path / "paths.manifest"}
+            """)
+        assert main(["fit", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {tmp_path / 'shell1.dat'}:{bad}: ")
+        assert err.endswith(" has non-finite values\n")
 
 
 class TestMainCutoffSweep:

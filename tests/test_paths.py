@@ -10,6 +10,7 @@ from exafsga.paths import (
     PathSet,
     ScatteringPath,
     load_manifest,
+    load_path_file,
     parse_feff_path,
     serialize_feff_path,
     synth_path,
@@ -86,6 +87,45 @@ class TestParser:
         bad = MINIMAL_FILE.replace(old, new)
         with pytest.raises(PathParseError, match=f"path feff0001.dat: {field} "):
             parse_feff_path(bad, label="feff0001.dat")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "column,field",
+        [(0, "k_theory"), (1, "phase_central"), (2, "f_eff"), (3, "phase_scatter"),
+         (5, "lam"), (6, "real_p")],
+    )
+    def test_non_finite_sample_names_file_line(self, tmp_path, column, field, value):
+        lines = MINIMAL_FILE.splitlines()
+        row = lines[6].split()  # line 7, the second data row
+        row[column] = value
+        lines[6] = " ".join(row)
+        p = tmp_path / "feff0001.dat"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PathParseError) as info:
+            load_path_file(p)
+        assert str(info.value) == f"{p}:7: path feff0001.dat: {field} has non-finite values"
+
+    @pytest.mark.parametrize(
+        "old,new,line,reason",
+        [
+            ("   2.0000  2.3921e+00", "   0.5000  2.3921e+00", 8, "k_theory not strictly increasing"),
+            ("6.1446e+00", "0.0000e+00", 7, "lambda must be positive everywhere"),
+        ],
+    )
+    def test_order_and_lambda_name_file_line(self, tmp_path, old, new, line, reason):
+        p = tmp_path / "feff0001.dat"
+        p.write_text(MINIMAL_FILE.replace(old, new))
+        with pytest.raises(PathParseError) as info:
+            load_path_file(p)
+        assert str(info.value) == f"{p}:{line}: {reason}"
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_after_column_header(self, rows):
+        lines = MINIMAL_FILE.splitlines()
+        text = "\n".join(lines[: 5 + rows]) + "\n"
+        with pytest.raises(PathParseError, match="^need at least two theory samples$") as info:
+            parse_feff_path(text)
+        assert info.value.sample is None
 
     def test_roundtrip(self):
         grid = KGrid(0.5, 12.0, 0.05)
@@ -179,6 +219,58 @@ class TestScatteringPathInvariants:
             ScatteringPath(label="shell1", **fields)
 
 
+    @staticmethod
+    def fields(**changes):
+        fields = dict(
+            label="shell1",
+            degeneracy=6.0,
+            r_eff=2.5,
+            k_theory=np.array([0.0, 1.0, 2.0, 3.0]),
+            f_eff=np.full(4, 0.5),
+            phase_scatter=np.zeros(4),
+            phase_central=np.zeros(4),
+            lam=np.ones(4),
+            real_p=np.ones(4),
+        )
+        fields.update(changes)
+        return fields
+
+    @pytest.mark.parametrize(
+        "changes,sample",
+        [
+            (dict(f_eff=np.array([0.5, 0.5, np.nan, np.inf])), 2),
+            (dict(real_p=np.array([np.inf, 1.0, 1.0, 1.0])), 0),
+            (dict(k_theory=np.array([0.0, 1.0, 1.0, 0.5])), 2),
+            (dict(k_theory=np.array([0.0, 2.0, 1.0, 3.0])), 2),
+            (dict(lam=np.array([1.0, 1.0, 1.0, -1.0])), 3),
+            (dict(lam=np.array([1.0, 0.0, -1.0, 1.0])), 1),
+        ],
+    )
+    def test_per_sample_rule_names_first_failing_sample(self, changes, sample):
+        with pytest.raises(PathParseError) as info:
+            ScatteringPath(**self.fields(**changes))
+        assert info.value.sample == sample
+
+    @pytest.mark.parametrize(
+        "changes,reason",
+        [
+            (dict(degeneracy=np.nan), "path shell1: degeneracy is not finite"),
+            (dict(r_eff=np.inf), "path shell1: r_eff is not finite"),
+            (dict(degeneracy=0.0), "degeneracy must be positive"),
+            (dict(r_eff=-1.0), "r_eff must be positive"),
+            (dict(f_eff=np.ones(3)), "f_eff length (3,) != 4"),
+            (dict(k_theory=np.array([1.0]), f_eff=np.ones(1), phase_scatter=np.zeros(1),
+                  phase_central=np.zeros(1), lam=np.ones(1), real_p=None),
+             "need at least two theory samples"),
+        ],
+    )
+    def test_other_rules_name_no_sample(self, changes, reason):
+        with pytest.raises(PathParseError) as info:
+            ScatteringPath(**self.fields(**changes))
+        assert str(info.value) == reason
+        assert info.value.sample is None
+
+
 class TestPathSet:
     def test_unique_labels(self):
         grid = KGrid(0.5, 10.0, 0.1)
@@ -219,6 +311,15 @@ class TestSynthPath:
             synth_path(-1.0, 12, grid)
         with pytest.raises(ValueError):
             synth_path(2.5, 12, grid, lambda_const=0.0)
+        # r_eff, degeneracy and lambda_const fail ScatteringPath's own rules.
+        for arg, reason in [("r_eff", "r_eff must be positive"),
+                            ("degeneracy", "degeneracy must be positive"),
+                            ("lambda_const", "lambda must be positive everywhere")]:
+            for value in (0.0, -1.0):
+                args = {"r_eff": 2.5, "degeneracy": 12.0, "lambda_const": 10.0, arg: value}
+                with pytest.raises(PathParseError) as info:
+                    synth_path(grid=grid, **args)
+                assert str(info.value) == reason
 
 
 class TestManifest:

@@ -416,6 +416,14 @@ class TestFileIO:
         with pytest.raises(SpectrumError):
             read_chi_file(p)
 
+    def test_order_failure_names_its_file_line(self, tmp_path):
+        # Comment and blank lines count: the failing row is line 6, data row 3.
+        p = tmp_path / "bad.dat"
+        p.write_text("# c\n0.5 1\n# c\n\n0.6 1\n0.55 2\n")
+        with pytest.raises(SpectrumError) as info:
+            read_chi_file(p)
+        assert str(info.value) == f"{p}:6: k not strictly increasing"
+
     def test_malformed_row(self, tmp_path):
         p = tmp_path / "bad.dat"
         p.write_text("1.0 0.1\nabc 0.2\n")
