@@ -64,7 +64,7 @@ for label, frac in zip(report.labels, report.fractions):
 pruned = report.pruned
 ensemble = error_analysis(
     data, pruned,
-    GAConfig(population_size=150, max_generations=20, rng_seed=2, patience=20),
+    GAConfig(population_size=150, max_generations=20, patience=20),
     fitness,
     n_runs=8,
     ranges={"population": (100, 400), "generations": (15, 30)},

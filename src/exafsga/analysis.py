@@ -208,7 +208,8 @@ def error_analysis(
     """Repeat the fit under randomized GA hyperparameters and aggregate.
 
     Each run samples (population size, generation count, mutation rate)
-    uniformly from `ranges` and gets its own seed, derived from `seed`.  The
+    uniformly from `ranges` and gets its own seed, derived from `seed` alone;
+    ga_config.rng_seed is never read, as each run's seed replaces it.  The
     rate is clamped to ga_config.mutation_rate_bounds, and the manifest
     records the clamped rate the run used.  Gene specs that check_gene_specs
     rejects raise its GAError before the first run; a run that fails with a

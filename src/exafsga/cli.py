@@ -30,9 +30,6 @@ from .spectra import (
     chi_file_lines, load_data, transform_k_to_r,
 )
 
-MODES = ("fit", "cutoff-sweep", "error-analysis", "synth", "benchmark")
-
-
 class ConfigError(ValueError):
     """Bad or incomplete run configuration."""
 
@@ -411,18 +408,23 @@ def _run_benchmark(cfg: RunConfig) -> dict[str, list[str]]:
     return {"benchmark.csv": _csv("n_paths,seconds_per_generation", rows)}
 
 
+# Each mode's runner, which returns its artifacts by file name; the order is
+# that of the subcommands and of MODES.
+RUNNERS = {
+    "fit": _run_fit,
+    "cutoff-sweep": _run_cutoff_sweep,
+    "error-analysis": _run_error_analysis,
+    "synth": _run_synth,
+    "benchmark": _run_benchmark,
+}
+MODES = tuple(RUNNERS)
+
+
 def run(cfg: RunConfig) -> list[str]:
     """Execute the configured mode, then make the output directory and write
     the mode's artifacts and manifest.json into it, each atomically; returns
     the written paths.  A mode that fails writes nothing."""
-    dispatch = {
-        "fit": _run_fit,
-        "synth": _run_synth,
-        "cutoff-sweep": _run_cutoff_sweep,
-        "error-analysis": _run_error_analysis,
-        "benchmark": _run_benchmark,
-    }
-    artifacts = dispatch[cfg.mode](cfg)
+    artifacts = RUNNERS[cfg.mode](cfg)
     manifest = {
         "mode": cfg.mode,
         "version": __version__,

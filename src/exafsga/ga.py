@@ -356,7 +356,9 @@ def evolve(
     its memo lacks, in row order.  The memo holds the generation's population
     and every row scored since; it is the only rule for skipping a row.
     objective maps one decoded gene vector to its fitness (lower is better)
-    and must be a pure function of it.
+    and must be a pure function of it.  Metropolis mutation never changes
+    gene 0 (the EXAFS layout's global dE0), whatever the problem; maximum and
+    nested mutation redraw every gene.
     Returns (best genes decoded, best fitness, history, exit reason), history
     holding one HISTORY_DTYPE record per generation.  A ValueError from the
     objective (every exafsga error is one) or a non-finite fitness raises

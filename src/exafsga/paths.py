@@ -21,11 +21,18 @@ from .spectra import KGrid
 class PathParseError(ValueError):
     """Malformed scattering-path file or theory data.  ``sample`` is the index
     of the first theory sample that breaks a per-sample rule of ScatteringPath
-    (finite values, k order, lambda > 0), else None."""
+    (finite values, k order, lambda > 0); ``field`` names the scalar field
+    (degeneracy or r_eff) whose rule broke; ``line`` is the number of the file
+    line that caused the error, and str() then reads "line <line>: <reason>".
+    Each is None where it does not apply."""
 
-    def __init__(self, message: str, sample: int | None = None):
-        super().__init__(message)
-        self.sample = sample
+    def __init__(self, reason: str, sample: int | None = None, field: str | None = None,
+                 line: int | None = None):
+        super().__init__(reason)
+        self.reason, self.sample, self.field, self.line = reason, sample, field, line
+
+    def __str__(self) -> str:
+        return self.reason if self.line is None else f"line {self.line}: {self.reason}"
 
 
 def _check_samples(bad: np.ndarray, message: str) -> None:
@@ -58,9 +65,9 @@ class ScatteringPath:
         for name in ("degeneracy", "r_eff"):
             value = getattr(self, name)
             if not np.isfinite(value):
-                raise PathParseError(f"path {self.label}: {name} is not finite")
+                raise PathParseError(f"path {self.label}: {name} is not finite", field=name)
             if value <= 0:
-                raise PathParseError(f"{name} must be positive")
+                raise PathParseError(f"{name} must be positive", field=name)
         n = None
         for name in ("k_theory", "f_eff", "phase_scatter", "phase_central", "lam", "real_p"):
             if name == "real_p" and self.real_p is None:
@@ -112,58 +119,55 @@ _DASHES = re.compile(r"^\s*-{4,}\s*$")
 _COLUMN_HEADER = re.compile(r"real\[2\*phc\]|mag\[feff\]")
 
 
-def _parse_floats(line: str, lineno: int, n_min: int) -> list[float]:
-    parts = line.split()
-    if len(parts) < n_min:
-        raise PathParseError(f"line {lineno}: expected {n_min} columns, got {len(parts)}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise PathParseError(f"line {lineno}: non-numeric value in {line!r}") from None
+def _numbers(text: str) -> tuple[list[float], int]:
+    """A line's leading numeric tokens as floats, and its token count."""
+    parts = text.split()
+    values = []
+    for part in parts:
+        try:
+            values.append(float(part))
+        except ValueError:
+            break
+    return values, len(parts)
 
 
 def parse_feff_path(file_content: str, label: str = "path") -> ScatteringPath:
-    """Parse a FEFF feffNNNN.dat-style path file."""
-    lines = file_content.splitlines()
-    sep_idx = next((i for i, ln in enumerate(lines) if _DASHES.match(ln)), None)
-    if sep_idx is None:
+    """Parse a FEFF feffNNNN.dat-style path file.  An error that one line of
+    the file causes holds that line's number as ``line``."""
+    lines = list(enumerate(file_content.splitlines(), start=1))
+    sep = next((i for i, (_, text) in enumerate(lines) if _DASHES.match(text)), None)
+    if sep is None:
         raise PathParseError("missing dashed header separator")
-
-    body = lines[sep_idx + 1 :]
-    summary_idx = next((i for i, ln in enumerate(body) if ln.strip()), None)
-    if summary_idx is None:
+    # The non-blank lines after the separator: (number, text, numbers, token count).
+    body = [(n, text, *_numbers(text)) for n, text in lines[sep + 1 :] if text.strip()]
+    if not body:
         raise PathParseError("missing path summary line after separator")
-    summary = _parse_numeric_prefix(body[summary_idx], sep_idx + 2 + summary_idx, 3)
-    degeneracy = summary[1]
-    r_eff = summary[2]
+    (summary_line, _, summary, _), *rest = body
+    if len(summary) < 3:
+        raise PathParseError("expected 3 leading numeric values", line=summary_line)
 
     # Data rows start after the column-header line when present, otherwise at
-    # the first line of >= 7 numeric columns.
-    data_start = None
-    for i in range(summary_idx + 1, len(body)):
-        if _COLUMN_HEADER.search(body[i]):
-            data_start = i + 1
-            break
-    if data_start is None:
-        for i in range(summary_idx + 1, len(body)):
-            parts = body[i].split()
-            if len(parts) >= 7:
-                try:
-                    float(parts[0])
-                except ValueError:
-                    continue
-                data_start = i
-                break
-    if data_start is None:
+    # the first line of >= 7 columns whose first is numeric.
+    start = next((i + 1 for i, (_, text, _, _) in enumerate(rest)
+                  if _COLUMN_HEADER.search(text)), None)
+    if start is None:
+        start = next((i for i, (_, _, values, n_tokens) in enumerate(rest)
+                      if n_tokens >= 7 and values), None)
+    if start is None:
         raise PathParseError("no data rows found")
 
-    rows = [(sep_idx + 2 + i, body[i]) for i in range(data_start, len(body)) if body[i].strip()]
-    cols = np.array([_parse_floats(ln, lineno, 7)[:7] for lineno, ln in rows]).reshape(-1, 7)
+    rows = rest[start:]
+    for n, text, values, n_tokens in rows:
+        if n_tokens < 7:
+            raise PathParseError(f"expected 7 columns, got {n_tokens}", line=n)
+        if len(values) < n_tokens:
+            raise PathParseError(f"non-numeric value in {text!r}", line=n)
+    cols = np.array([values[:7] for _, _, values, _ in rows]).reshape(-1, 7)
     try:
         return ScatteringPath(
             label=label,
-            degeneracy=degeneracy,
-            r_eff=r_eff,
+            degeneracy=summary[1],
+            r_eff=summary[2],
             k_theory=cols[:, 0],
             phase_central=cols[:, 1],
             f_eff=cols[:, 2],
@@ -172,23 +176,12 @@ def parse_feff_path(file_content: str, label: str = "path") -> ScatteringPath:
             real_p=cols[:, 6],
         )
     except PathParseError as exc:
-        if exc.sample is None:
-            raise
-        raise PathParseError(f"line {rows[exc.sample][0]}: {exc}", exc.sample) from None
-
-
-def _parse_numeric_prefix(line: str, lineno: int, n: int) -> list[float]:
-    """First n whitespace tokens of a line as floats (trailing text allowed)."""
-    parts = line.split()
-    vals = []
-    for p in parts:
-        try:
-            vals.append(float(p))
-        except ValueError:
-            break
-        if len(vals) == n:
-            return vals
-    raise PathParseError(f"line {lineno}: expected {n} leading numeric values")
+        # A per-sample rule breaks on a data row, degeneracy or r_eff on the summary line.
+        if exc.sample is not None:
+            exc.line = rows[exc.sample][0]
+        elif exc.field in ("degeneracy", "r_eff"):
+            exc.line = summary_line
+        raise
 
 
 def serialize_feff_path(path: ScatteringPath, nleg: int = 2) -> str:
@@ -220,9 +213,8 @@ def load_path_file(path, label: str | None = None) -> ScatteringPath:
     try:
         return parse_feff_path(content, label=label or os.path.basename(str(path)))
     except PathParseError as exc:
-        msg = str(exc)
-        where = f"{path}:" if msg.startswith("line ") else f"{path}: "
-        raise PathParseError(where + msg.removeprefix("line ")) from None
+        where = f"{path}: " if exc.line is None else f"{path}:{exc.line}: "
+        raise PathParseError(where + exc.reason) from None
 
 
 def load_manifest(manifest_path) -> PathSet:

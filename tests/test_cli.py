@@ -565,6 +565,26 @@ class TestMainInputErrors:
         assert err.startswith(f"input error: {tmp_path / 'shell1.dat'}:{bad}: ")
         assert err.endswith(" has non-finite values\n")
 
+    def test_negative_path_degeneracy(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        grid = KGrid(0.5, 12.5, 0.05)
+        lines = serialize_feff_path(synth_path(2.3, 6, grid, label="shell1")).splitlines()
+        summary = 3  # the line after the separator, numbered from 1
+        lines[summary - 1] = lines[summary - 1].replace("6.000000000", "-6.000000000")
+        (tmp_path / "shell1.dat").write_text("\n".join(lines) + "\n")
+        (tmp_path / "paths.manifest").write_text("shell1.dat\n")
+        cfg = write_config(tmp_path, f"""
+            [run]
+            mode = fit
+            output_dir = {tmp_path / "out"}
+            data_file = unread.dat
+            path_manifest = {tmp_path / "paths.manifest"}
+            """)
+        assert main(["fit", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'shell1.dat'}:{summary}: degeneracy must be positive\n"
+        )
+
 
 class TestMainCutoffSweep:
     def test_sweep_artifact(self, tmp_path):

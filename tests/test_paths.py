@@ -110,6 +110,9 @@ class TestParser:
         [
             ("   2.0000  2.3921e+00", "   0.5000  2.3921e+00", 8, "k_theory not strictly increasing"),
             ("6.1446e+00", "0.0000e+00", 7, "lambda must be positive everywhere"),
+            ("12.00000", "-12.00000", 4, "degeneracy must be positive"),
+            ("12.00000", "nan", 4, "path feff0001.dat: degeneracy is not finite"),
+            ("2.552700", "0.000000", 4, "r_eff must be positive"),
         ],
     )
     def test_order_and_lambda_name_file_line(self, tmp_path, old, new, line, reason):
