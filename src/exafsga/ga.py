@@ -194,7 +194,10 @@ class GAConfig:
 # sigma is the initial mutation rate and its ratios and deltas are 0.  Later
 # rows hold the best fitness after mutation, sigma after the 1/5-rule update,
 # the success ratio that update used, and the change of the best (d_*) and
-# mean (d_*_mean) fitness made by the crossover and mutation stages.
+# mean (d_*_mean) fitness made by the crossover and mutation stages.  The
+# crossover stage's population is the elites and children (the random rows
+# are scored in the mutation stage), so d_mutation* includes the random rows'
+# entry.  n_scored is the generation's number of objective calls.
 HISTORY_DTYPE = np.dtype(
     [("generation", np.int64)]
     + [
@@ -204,6 +207,7 @@ HISTORY_DTYPE = np.dtype(
             "d_mutation", "d_crossover_mean", "d_mutation_mean",
         )
     ]
+    + [("n_scored", np.int64)]
 )
 
 
@@ -355,6 +359,13 @@ def evolve(
     scorer decodes each block it scores once and calls objective on the rows
     its memo lacks, in row order.  The memo holds the generation's population
     and every row scored since; it is the only rule for skipping a row.
+    Each generation's crossover stage scores the children only.  Maximum and
+    nested mutation then score every non-elite row once, as mutated; no draw
+    reads a random row's fitness before that.  Metropolis, whose acceptance
+    test reads each row's pre-mutation fitness, scores the random rows before
+    its first mutant, then each mutant as it is made.  So the crossover-stage
+    figures of the history (d_crossover, d_crossover_mean) cover the elites
+    and children.
     objective maps one decoded gene vector to its fitness (lower is better)
     and must be a pure function of it.  Metropolis mutation never changes
     gene 0 (the EXAFS layout's global dE0), whatever the problem; maximum and
@@ -411,7 +422,7 @@ def evolve(
     fits = score(pop, 1, 0)
 
     sigma = float(ga_config.initial_mutation_rate)
-    history = [(1, float(fits.min()), sigma, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    history = [(1, float(fits.min()), sigma, 0.0, 0.0, 0.0, 0.0, 0.0, len(memo))]
     stall = 0
     exit_reason = "max_generations"
     prev_median = float(np.median(fits))
@@ -438,15 +449,20 @@ def evolve(
 
         memo.clear()
         memo.update(zip(map(np.ndarray.tobytes, pop), fits.tolist()))
+        n_known = len(memo)
         gen += 1
         pop = np.vstack([pop[elite], children, codec.random(rng, n_random)])
-        fits = np.concatenate([fits[elite], score(pop[n_elite:], gen, n_elite)])
+        # The random rows wait for the mutation stage: no draw reads their
+        # fitness before it, so each is scored once, as mutated.
+        fits = np.concatenate([fits[elite], score(children, gen, n_elite)])
         prev_best = history[-1][1]
         best_after_cross = float(fits.min())
         mean_after_cross = float(fits.mean())
 
         if mutation == "metropolis":
-            # Each acceptance draw depends on the mutant's score: row by row.
+            # Each acceptance draw depends on the mutant's score and on its
+            # parent's: score the random rows, then mutate row by row.
+            fits = np.append(fits, score(pop[fits.size:], gen, fits.size))
             delta_f = abs(prev_best - history[-2][1]) if len(history) >= 2 else 0.0
             k_cool = cooling_rate(delta_f, gen - 1, ga_config.max_generations)
             for idx in range(n_elite, pop_size):
@@ -458,7 +474,7 @@ def evolve(
             # No draw depends on a score: draw all mutants, then score them all.
             mutate = mutate_maximum if mutation == "maximum" else mutate_nested
             pop[n_elite:] = [mutate(g, sigma, codec, rng) for g in pop[n_elite:]]
-            fits[n_elite:] = score(pop[n_elite:], gen, n_elite)
+            fits = np.append(fits[:n_elite], score(pop[n_elite:], gen, n_elite))
 
         best = float(fits.min())
         mean_after_mut = float(fits.mean())
@@ -470,6 +486,7 @@ def evolve(
             gen, best, sigma, success,
             best_after_cross - prev_best, best - best_after_cross,
             mean_after_cross - prev_mean, mean_after_mut - mean_after_cross,
+            len(memo) - n_known,
         ))
         prev_mean = mean_after_mut
 

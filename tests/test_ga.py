@@ -144,6 +144,33 @@ class TestSelect:
             select(np.zeros(1), GAConfig())
 
 
+# Eight genes of 16 levels: no two rows of a small population coincide, and
+# the objective genes @ LATTICE_WEIGHTS is one-to-one on the grid.
+LATTICE = [GeneSpec(f"g{i}", 0.0, 15.0, 1.0) for i in range(8)]
+LATTICE_WEIGHTS = 16.0 ** np.arange(8)
+
+
+def twin_generation_2(cfg, codec):
+    """Replay evolve's draws with a twin generator, for the objective
+    genes @ LATTICE_WEIGHTS, up to generation 2's mutation stage.  Returns the twin,
+    left there, and the initial population, the children and the random
+    rows, as level indices."""
+    twin = np.random.default_rng(cfg.rng_seed)
+    pop = codec.random(twin, cfg.population_size)
+    elite = select(codec.decode(pop) @ LATTICE_WEIGHTS, cfg)
+    n_random = int(cfg.population_size * cfg.random_fraction)
+    children = []
+    for _ in range(cfg.population_size - elite.size - n_random):
+        i, j = ga._pick_two_parents(elite.size, twin)
+        a, b = pop[elite[i]], pop[elite[j]]
+        if cfg.crossover_method == "uniform":
+            children.append(crossover_uniform(a, b, twin.random(codec.n_genes)))
+        else:
+            cross = crossover_and if cfg.crossover_method == "and" else crossover_or
+            children.append(cross(a, b, codec))
+    return twin, pop, np.array(children), codec.random(twin, n_random)
+
+
 class TestCrossover:
     def test_uniform_identical_parents(self):
         rng = np.random.default_rng(0)
@@ -202,42 +229,32 @@ class TestCrossover:
 
     @pytest.mark.parametrize("method", ga.CROSSOVER_METHODS)
     def test_evolve_draws_each_childs_parents_then_its_mask(self, method):
-        """Generation 2 scores the children and random rows a twin generator
-        makes pair by pair with crossover_uniform or the AND/OR operator,
-        decoded.  The objective is one-to-one on the 16^8 grid and records each
-        row it scores; rows already scored are skipped, as evolve's memo skips
-        them."""
-        specs = [GeneSpec(f"g{i}", 0.0, 15.0, 1.0) for i in range(8)]
-        codec = GeneCodec(specs)
-        weights = 16.0 ** np.arange(8)
+        """Generation 2 scores the children a twin generator makes pair by
+        pair with crossover_uniform or the AND/OR operator, then the mutants
+        mutate_maximum (at the default sigma of 20) makes of them and of the
+        random rows, decoded.  The objective is one-to-one on the 16^8 grid
+        and records each row it scores; rows already scored are skipped, as
+        evolve's memo skips them."""
+        codec = GeneCodec(LATTICE)
         calls = []
 
         def objective(genes):
             calls.append(genes.tobytes())
-            return float(genes @ weights)
+            return float(genes @ LATTICE_WEIGHTS)
 
         cfg = GAConfig(population_size=30, max_generations=2, crossover_method=method,
                        rng_seed=11)
-        evolve(objective, specs, cfg)
+        evolve(objective, LATTICE, cfg)
 
-        twin = np.random.default_rng(cfg.rng_seed)
-        pop = codec.random(twin, 30)
-        elite = select(codec.decode(pop) @ weights, cfg)
-        n_random = int(30 * cfg.random_fraction)
-        children = []
-        for _ in range(30 - elite.size - n_random):
-            i, j = ga._pick_two_parents(elite.size, twin)
-            a, b = pop[elite[i]], pop[elite[j]]
-            if method == "uniform":
-                children.append(crossover_uniform(a, b, twin.random(codec.n_genes)))
-            else:
-                children.append((crossover_and if method == "and" else crossover_or)(a, b, codec))
+        twin, pop, children, randoms = twin_generation_2(cfg, codec)
+        mutants = [mutate_maximum(row, cfg.initial_mutation_rate, codec, twin)
+                   for row in [*children, *randoms]]
         expected = []
-        for row in codec.decode(np.array([*pop, *children, *codec.random(twin, n_random)])):
+        for row in codec.decode(np.array([*pop, *children, *mutants])):
             if row.tobytes() not in expected:
                 expected.append(row.tobytes())
         assert len(expected) > 40
-        assert calls[:len(expected)] == expected
+        assert calls == expected
 
     def test_bit_lattice_bounds(self):
         codec = small_codec()
@@ -676,13 +693,89 @@ class TestRunGA:
         return objective
 
     def test_mutation_stage_error_has_context(self):
-        # pop 20 = 4 elites + 12 children + 4 randoms: 20 initial calls and 16
-        # at generation 2, so call 37 scores the first mutant (row 4) there.
+        # pop 20 = 4 elites + 12 children + 4 randoms: 20 initial calls and 12
+        # at generation 2's crossover stage, which leaves the random rows to
+        # the mutation stage, so call 33 scores the first mutant (row 4) there.
         cfg = GAConfig(population_size=20, max_generations=5, initial_mutation_rate=100.0,
                        mutation_rate_bounds=(1.0, 100.0), rng_seed=0)
-        objective = self.failing_objective(37, ModelError("out of range"))
+        objective = self.failing_objective(33, ModelError("out of range"))
         with pytest.raises(GAError, match="generation 2, individual 4: out of range"):
             evolve(objective, default_gene_specs(1), cfg)
+
+    @pytest.mark.parametrize("mutation", ["maximum", "nested"])
+    def test_random_rows_wait_for_the_mutation_stage(self, mutation):
+        """At sigma 100 maximum and nested mutation redraw every gene of every
+        non-elite row, so no row of generation 2's random block reaches the
+        objective: neither stage reads a random row's own fitness."""
+        codec = GeneCodec(LATTICE)
+        calls = set()
+
+        def objective(genes):
+            calls.add(genes.tobytes())
+            return float(genes @ LATTICE_WEIGHTS)
+
+        cfg = GAConfig(population_size=30, max_generations=2, mutation_method=mutation,
+                       initial_mutation_rate=100.0, mutation_rate_bounds=(1.0, 100.0),
+                       rng_seed=11)
+        _, _, history, _ = evolve(objective, LATTICE, cfg)
+        _, pop, children, randoms = twin_generation_2(cfg, codec)
+        drawn = {row.tobytes() for row in codec.decode(randoms)}
+        earlier = {row.tobytes() for row in codec.decode(np.vstack([pop, children]))}
+        assert len(drawn) == len(randoms) and not drawn & earlier
+        assert not drawn & calls
+        # Generation 2 scores its children, then a mutant of each child and
+        # each random row.
+        assert list(history["n_scored"]) == [30, 2 * len(children) + len(randoms)]
+
+    @pytest.mark.parametrize("mutation", ["maximum", "nested"])
+    def test_unmutated_random_row_error_has_context(self, mutation):
+        """A random row that mutation leaves unchanged is scored in the
+        mutation stage; an objective that fails on it names generation 2
+        and the row's population index."""
+        codec = GeneCodec(LATTICE)
+        cfg = GAConfig(population_size=30, max_generations=2, mutation_method=mutation,
+                       initial_mutation_rate=1.0, rng_seed=11)
+        twin, pop, children, randoms = twin_generation_2(cfg, codec)
+        mutate = mutate_maximum if mutation == "maximum" else mutate_nested
+        for row in children:
+            mutate(row, cfg.initial_mutation_rate, codec, twin)
+        kept = [i for i, row in enumerate(randoms)
+                if np.array_equal(mutate(row, cfg.initial_mutation_rate, codec, twin), row)]
+        bad = codec.decode(randoms[kept[0]]).tobytes()
+
+        def objective(genes):
+            if genes.tobytes() == bad:
+                raise ModelError("out of range")
+            return float(genes @ LATTICE_WEIGHTS)
+
+        index = len(pop) - len(randoms) + kept[0]
+        with pytest.raises(GAError, match=f"generation 2, individual {index}: out of range"):
+            evolve(objective, LATTICE, cfg)
+
+    @pytest.mark.parametrize("mutation", ["maximum", "nested", "metropolis"])
+    def test_n_scored_counts_objective_calls(self, monkeypatch, mutation):
+        """history's n_scored is each generation's number of objective calls.
+        On a grid of 4^4 vectors many rows repeat, so the memo skips many;
+        select, called once at the start of each generation after the first,
+        marks where a generation's calls begin."""
+        specs = [GeneSpec(name, 0.0, 3.0, 1.0) for name in "abcd"]
+        generations = [0]
+
+        def objective(genes):
+            generations[-1] += 1
+            return float(genes @ [1.0, 4.0, 16.0, 64.0])
+
+        def recording_select(fits, config):
+            generations.append(0)
+            return select(fits, config)
+
+        monkeypatch.setattr(ga, "select", recording_select)
+        cfg = GAConfig(population_size=24, max_generations=8, patience=8,
+                       mutation_method=mutation, initial_mutation_rate=50.0, rng_seed=4)
+        _, _, history, _ = evolve(objective, specs, cfg)
+        assert history["n_scored"].dtype == np.int64
+        assert list(history["n_scored"]) == generations
+        assert sum(generations) < 8 * 24
 
     @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
     def test_non_finite_fitness_raises(self, value):
