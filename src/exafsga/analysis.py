@@ -208,7 +208,9 @@ def error_analysis(
     """Repeat the fit under randomized GA hyperparameters and aggregate.
 
     Each run samples (population size, generation count, mutation rate)
-    uniformly from `ranges` and gets its own seed, derived from `seed` alone;
+    uniformly from `ranges` (keys of DEFAULT_HYPER_RANGES, whose values fill
+    the keys left out; another key is an AnalysisError before the first run)
+    and gets its own seed, derived from `seed` alone;
     ga_config.rng_seed is never read, as each run's seed replaces it.  The
     rate is clamped to ga_config.mutation_rate_bounds, and the manifest
     records the clamped rate the run used.  Gene specs that check_gene_specs
@@ -218,6 +220,10 @@ def error_analysis(
     """
     if n_runs < 2:
         raise AnalysisError("n_runs must be at least 2")
+    unknown = sorted(set(ranges or ()) - set(DEFAULT_HYPER_RANGES))
+    if unknown:
+        raise AnalysisError(f"unknown ranges keys {unknown}; the keys are "
+                            f"{', '.join(DEFAULT_HYPER_RANGES)}")
     ranges = {**DEFAULT_HYPER_RANGES, **(ranges or {})}
     for name in DEFAULT_HYPER_RANGES:
         low, high = ranges[name]

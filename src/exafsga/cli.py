@@ -34,10 +34,6 @@ class ConfigError(ValueError):
     """Bad or incomplete run configuration."""
 
 
-class InputError(ValueError):
-    """A chi(k) or path file whose content is malformed."""
-
-
 @dataclass
 class RunConfig:
     mode: str
@@ -255,10 +251,7 @@ def parse_config(path: str) -> RunConfig:
 
 def build_paths(cfg: RunConfig) -> PathSet:
     if cfg.path_manifest:
-        try:
-            return load_manifest(cfg.path_manifest)
-        except PathParseError as exc:
-            raise InputError(str(exc)) from exc
+        return load_manifest(cfg.path_manifest)
     if cfg.synth_paths:
         paths = []
         for key, *vals in cfg.synth_paths:
@@ -280,11 +273,7 @@ def load_inputs(cfg: RunConfig) -> tuple[PathSet, KSpectrum, list[GeneSpec]]:
     paths = build_paths(cfg)
     if not cfg.data_file:
         raise ConfigError(f"{cfg.mode} mode requires data_file")
-    try:
-        data = load_data(cfg.data_file, cfg.grid)
-    except SpectrumError as exc:
-        raise InputError(str(exc)) from exc
-    return paths, data, gene_specs(cfg, len(paths))
+    return paths, load_data(cfg.data_file, cfg.grid), gene_specs(cfg, len(paths))
 
 
 def _csv(header: str, rows) -> list[str]:
@@ -472,7 +461,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
+    except (PathParseError, SpectrumError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

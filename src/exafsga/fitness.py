@@ -24,8 +24,10 @@ class FitnessConfig:
 
     space: "K", "R", or "K+R".  n_indep defaults to the number of compared
     points (stepwise-collected data); epsilon, a positive scalar, is the
-    uncertainty of every point.  ft supplies the fit k-range, k-weight, and
-    (for R-space) the transform parameters.
+    uncertainty of every point.  ft supplies the fit k-range and the
+    transform parameters; its k_weight weights only the transform: the
+    R-space chi^2, metrics_r and model_r.csv.  k_weight weights K space: the
+    K-space chi^2, metrics_k and cutoff_select's areas.
     """
 
     ft: FTConfig
@@ -46,16 +48,17 @@ class FitnessConfig:
 
 
 def chi2(model: np.ndarray, data: np.ndarray, config: FitnessConfig) -> float:
-    """(n_indep/N) * sum((model - data)^2 / epsilon^2) over the fit range.
+    """(min(n_indep, N)/N) * sum((model - data)^2 / epsilon^2) over the fit
+    range: the factor applies only when n_indep < N.
 
     The result is 0 only when model == data element-wise.  Nonzero residuals
     whose squares underflow to a zero sum return the smallest positive double
     instead, so a wrong fit never ties with an exact one; every nonzero sum is
     returned unchanged.
 
-    Where epsilon or n_indep/N is 1, dividing or multiplying by it is an
-    exact no-op and is skipped; np.add.reduce is the pairwise sum np.sum
-    makes, so the value equals the formula's bit for bit.
+    Where epsilon or min(n_indep, N)/N is 1, dividing or multiplying by it
+    is an exact no-op and is skipped; np.add.reduce is the pairwise sum
+    np.sum makes, so the value equals the formula's bit for bit.
     """
     model = np.asarray(model, dtype=float)
     data = np.asarray(data, dtype=float)

@@ -82,6 +82,11 @@ class TestSynthGenerate:
         inf = synth_generate(paths, chrom, GRID, snr=np.inf, seed=3).chi
         assert np.array_equal(clean, inf)
 
+    @pytest.mark.parametrize("snr", [0.0, -5.0])
+    def test_non_positive_snr_rejected(self, snr):
+        with pytest.raises(AnalysisError, match="^snr must be positive$"):
+            synth_generate(make_paths([1.0]), flat_chromosome(1), GRID, snr=snr)
+
 
 class TestCutoffSelect:
     def test_all_kept_at_zero_percent(self):
@@ -133,6 +138,15 @@ class TestCutoffSelect:
         chrom = flat_chromosome(1, s02=0.0)
         with pytest.raises(AnalysisError):
             cutoff_select(paths, chrom, GRID, FITNESS, 1.0)
+
+    @pytest.mark.parametrize("fitness, percent, message", [
+        (FITNESS, -1.0, "^cutoff_percent must be non-negative$"),
+        (FitnessConfig(ft=FTConfig(k_range=(2.5, 2.52), window_sill=0.0)), 1.0,
+         "^fit range selects fewer than two grid points$"),
+    ], ids=["negative-cutoff", "one-point-fit-range"])
+    def test_bad_cutoff_or_fit_range_raises(self, fitness, percent, message):
+        with pytest.raises(AnalysisError, match=message):
+            cutoff_select(make_paths([1.0, 0.5]), flat_chromosome(2), GRID, fitness, percent)
 
     def test_prunes_over_the_points_the_fit_reads(self):
         # grid.ks[239] is 12.450000000000001, above the 12.45 that ends the
@@ -273,6 +287,35 @@ class TestErrorAnalysis:
         with pytest.raises(GAError, match=message):
             error_analysis(data, paths, ga, fitness, n_runs=2, gene_specs=specs)
 
+    def test_unknown_range_key_raises_before_any_member(self, monkeypatch):
+        paths, truth, data, fitness, ga = small_problem()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        expected = (r"^unknown ranges keys \['populaton'\]; "
+                    r"the keys are population, generations, mutation_rate$")
+        with pytest.raises(AnalysisError, match=expected):
+            error_analysis(data, paths, ga, fitness, n_runs=2, seed=1,
+                           ranges={"populaton": (20, 30), "generations": (2, 3)})
+
+    def test_fewer_than_two_successful_members_raises(self, monkeypatch):
+        paths, truth, data, fitness, ga = small_problem()
+        calls = []
+
+        def first_fails(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise GAError("no convergence")
+            return run_ga(*args)
+
+        monkeypatch.setattr(analysis, "run_ga", first_fails)
+        with pytest.raises(AnalysisError, match="^only 1 successful runs; need at least 2$"):
+            error_analysis(data, paths, ga, fitness, n_runs=2, seed=0,
+                           ranges={"population": (20, 20), "generations": (3, 3)})
+        assert len(calls) == 2
+
     def test_failed_members_are_recorded_and_left_out(self, monkeypatch):
         paths, truth, data, fitness, ga = small_problem()
         failures = {1: GAError("no convergence"), 2: ModelError("bad shift"),
@@ -345,6 +388,7 @@ class TestCutoffSweep:
         ((5.0, -1.0), 2, "percents must be non-negative"),
         ((float("nan"),), 2, "percents must be non-negative"),
         ((5.0, 150.0), 2, "at most 100"),
+        ((), 2, "percents must be non-empty"),
     ])
     def test_arguments_checked_before_any_fit(self, monkeypatch, percents, n_repeat, message):
         def no_fit(*args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 from exafsga import analysis, cli, ga
 from exafsga.cli import (
     ConfigError,
+    build_paths,
     load_data,
     load_inputs,
     main,
@@ -15,8 +16,9 @@ from exafsga.cli import (
 )
 from exafsga.fitness import FitnessConfig
 from exafsga.ga import GENE_BOUNDS, GAConfig
+from exafsga.model import evaluate_model
 from exafsga.paths import serialize_feff_path, synth_path
-from exafsga.spectra import FTConfig, KGrid, SpectrumError
+from exafsga.spectra import FTConfig, KGrid, SpectrumError, chi_file_lines
 
 
 SYNTH_CONFIG = """
@@ -180,6 +182,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(cfg)
 
+    def test_synth_lists_must_match_synth_paths_count(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = SYNTH_CONFIG.format(out=out).replace(
+            "shell2 = 3.0 12 0.7", "shell2 = 3.0 12 0.7\nshell3 = 3.5 6 0.5")
+        assert main(["synth", "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [synth] parameter lists must match [synth_paths] count\n")
+        assert not out.exists()
+
     def test_library_error_is_the_cause(self, tmp_path):
         text = SYNTH_CONFIG.format(out=tmp_path / "out").replace("k_max = 12.5", "k_max = 0.2")
         with pytest.raises(ConfigError, match=r"^\[grid\] k_max must exceed k_min$") as info:
@@ -260,6 +271,25 @@ class TestMainSynth:
         a = np.loadtxt(out_a / "synthetic_chi.dat")
         b = np.loadtxt(out_b / "synthetic_chi.dat")
         assert not np.array_equal(a[:, 1], b[:, 1])
+
+    @pytest.mark.parametrize("snr", ["inf", "none"])
+    def test_no_noise_writes_the_model(self, tmp_path, snr):
+        out = tmp_path / "out"
+        text = SYNTH_CONFIG.format(out=out).replace("snr = 20", f"snr = {snr}")
+        cfg = write_config(tmp_path, text)
+        assert main(["synth", "--config", cfg]) == 0
+        rc = parse_config(cfg)
+        model = evaluate_model(build_paths(rc), rc.truth, rc.grid)
+        lines = chi_file_lines(rc.grid.ks, model.chi, "synthetic spectrum (snr=None, seed=4)")
+        assert (out / "synthetic_chi.dat").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_out_overrides_output_dir(self, tmp_path, capsys):
+        configured, out = tmp_path / "configured", tmp_path / "override"
+        cfg = write_config(tmp_path, SYNTH_CONFIG.format(out=configured))
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.split() == [
+            str(out / "synthetic_chi.dat"), str(out / "manifest.json")]
+        assert not configured.exists()
 
 
 class TestMainFit:
@@ -390,6 +420,15 @@ class TestMainErrors:
             "m*pi/(n_fft*delta_k) = m*0.0306796, 0 <= m < 1024\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["fit", "synth"])
+    def test_no_paths_is_config_error(self, tmp_path, capsys, mode):
+        out = tmp_path / "out"
+        text = f"[run]\nmode = {mode}\noutput_dir = {out}\ndata_file = unread.dat\n"
+        assert main([mode, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: either path_manifest or a [synth_paths] section is required\n")
+        assert not out.exists()
+
     def test_output_dir_that_cannot_be_made_fails_after_the_run(self, tmp_path):
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
@@ -435,8 +474,12 @@ class TestMainMalformedValues:
         ("ga", "population_size = 1", "population_size must be at least 2"),
         ("ga", "crossover_method = xor", "unknown crossover_method 'xor'"),
         ("ga", "elite_fraction = 0.9", "elite_fraction + random_fraction must be < 1"),
+        ("ga", "rechenberg_factor = 1", "rechenberg_factor must lie in (0,1)"),
+        ("ga", "patience = 0", "patience and max_generations must be >= 1"),
+        ("ga", "max_generations = 0", "patience and max_generations must be >= 1"),
         ("ft", "n_fft = 1000", "n_fft must be a power of two, got 1000"),
         ("ft", "window_sill = 6", "window_sill wider than half the fit range"),
+        ("ft", "window_sill = -1", "window_sill must be >= 0"),
         ("ft", "k_weight = 5", "k_weight must be in 0..3, got 5"),
         ("fitness", "space = Q", "space must be K, R, or K+R, got 'Q'"),
         ("fitness", "n_indep = 0", "n_indep must be positive"),

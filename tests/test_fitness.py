@@ -115,6 +115,12 @@ class TestMetrics:
         with pytest.raises(FitnessError):
             metrics(np.array([1.0, 2.0]), np.array([5.0, 5.0]))
 
+    @pytest.mark.parametrize("m, d", [([1.0], [2.0]), ([], []), ([1.0, 2.0], [1.0, 2.0, 3.0])],
+                             ids=["one-point", "empty", "unequal-lengths"])
+    def test_fewer_than_two_points_or_unequal_lengths_rejected(self, m, d):
+        with pytest.raises(FitnessError, match=r"^need two arrays of equal length >= 2$"):
+            metrics(np.array(m), np.array(d))
+
     @settings(max_examples=50, deadline=None)
     @given(
         arrays(np.float64, 12, elements=st.floats(-100, 100)),

@@ -262,6 +262,18 @@ class TestModelEvaluator:
         cached, _ = ev.evaluate_genes(genes)
         assert np.array_equal(cached, ModelEvaluator(ps, grid).evaluate_genes(genes)[0])
 
+    def test_full_cache_drops_the_oldest_table(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        ps = PathSet(paths=(synth_path(2.5, 12, grid, label="p"),))
+        ev = ModelEvaluator(ps, grid, cache_size=2)
+        for delta_e0 in (1.0, 2.0, 1.0, 3.0):
+            ev.evaluate_genes(np.array([delta_e0, 0.8, 0.004, 0.02]))
+        assert list(ev._cache) == [2.0, 3.0]
+        genes = np.array([1.0, 0.8, 0.004, 0.02])
+        assert np.array_equal(ev.evaluate_genes(genes)[0],
+                              ModelEvaluator(ps, grid).evaluate_genes(genes)[0])
+        assert list(ev._cache) == [3.0, 1.0]
+
     @pytest.mark.parametrize("n_genes", [3, 7])
     def test_gene_count_checked_by_both_entries(self, n_genes):
         grid = KGrid(0.5, 12.0, 0.05)

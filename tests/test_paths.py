@@ -281,6 +281,10 @@ class TestPathSet:
         with pytest.raises(ValueError):
             PathSet(paths=(p, p))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^PathSet must contain at least one path$"):
+            PathSet(paths=())
+
     def test_subset(self):
         grid = KGrid(0.5, 10.0, 0.1)
         ps = PathSet(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from exafsga.spectra import (
     KSpectrum,
     SpectrumError,
     TransformConfigError,
+    atomic_write,
     check_k_range,
     check_r_range,
     k_to_r_map,
@@ -402,6 +405,26 @@ class TestFileIO:
         k2, chi2 = read_chi_file(p)
         assert np.allclose(k2, grid.ks)
         assert np.allclose(chi2, chi)
+
+    def test_written_file_has_mode_0600(self, tmp_path, grid):
+        p = tmp_path / "chi.dat"
+        write_chi_file(p, grid.ks, np.zeros(grid.n_points))
+        assert p.stat().st_mode & 0o777 == 0o600
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "out.dat"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(target, "\ud800")  # a lone surrogate encodes in no codec
+        assert os.listdir(tmp_path) == ["out.dat"]
+        assert target.read_text() == "old\n"
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            atomic_write(target, "new\n")
+        assert os.listdir(tmp_path) == ["out"] and target.is_dir()
 
     def test_comma_delimited(self, tmp_path):
         p = tmp_path / "chi.csv"
