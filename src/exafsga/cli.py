@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import __version__
 from .analysis import (
@@ -121,6 +121,9 @@ def _snr(raw: str) -> float | None:
     return value
 
 
+# [ga]'s cast per GAConfig field type; a pair <x>_bounds has keys <x>_min, <x>_max.
+_CASTS = {"int": int, "float": _number(), "str": str, "tuple[float, float]": _number()}
+
 # (section, key, field, cast, default) of every setting but the [synth_paths]
 # labels.  [grid], [ft], [fitness] and [ga] fill KGrid, FTConfig, FitnessConfig
 # and GAConfig, [genes] the gene bounds, the other sections RunConfig's fields.
@@ -145,21 +148,9 @@ SETTINGS = (
     ("fitness", "n_indep", "n_indep", _optional_int, FitnessConfig.n_indep),
     ("fitness", "epsilon", "epsilon", _number(), FitnessConfig.epsilon),
     ("fitness", "k_weight", "k_weight", int, FitnessConfig.k_weight),
-    ("ga", "population_size", "population_size", int, GAConfig.population_size),
-    ("ga", "max_generations", "max_generations", int, GAConfig.max_generations),
-    ("ga", "elite_fraction", "elite_fraction", _number(), GAConfig.elite_fraction),
-    ("ga", "random_fraction", "random_fraction", _number(), GAConfig.random_fraction),
-    ("ga", "crossover_method", "crossover_method", str, GAConfig.crossover_method),
-    ("ga", "mutation_method", "mutation_method", str, GAConfig.mutation_method),
-    ("ga", "initial_mutation_rate", "initial_mutation_rate", _number(),
-     GAConfig.initial_mutation_rate),
-    ("ga", "mutation_rate_min", "mutation_rate_bounds", _number(),
-     GAConfig.mutation_rate_bounds[0]),
-    ("ga", "mutation_rate_max", "mutation_rate_bounds", _number(),
-     GAConfig.mutation_rate_bounds[1]),
-    ("ga", "rechenberg_factor", "rechenberg_factor", _number(), GAConfig.rechenberg_factor),
-    ("ga", "patience", "patience", int, GAConfig.patience),
-    ("ga", "rng_seed", "rng_seed", int, GAConfig.rng_seed),
+    *(("ga", key, f.name, _CASTS[f.type], default) for f in fields(GAConfig)
+      for key, default in (zip([f.name.replace("bounds", e) for e in ("min", "max")], f.default)
+                           if f.type.startswith("tuple") else [(f.name, f.default)])),
     *(("genes", name, name, _gene_bounds(name, 0.0 if name in NON_NEGATIVE else None), bounds)
       for name, bounds in GENE_BOUNDS.items()),
     *(("synth", name, name, _list(), ()) for name in PATH_GENES),
@@ -214,25 +205,25 @@ def parse_config(path: str) -> RunConfig:
             if key not in KEYS[section]:
                 raise ConfigError(f"[{section}] unknown key '{key}'")
 
-    fields = {section: {} for section in KEYS}
+    values = {section: {} for section in KEYS}
     for section, key, field, cast, default in SETTINGS:
         value = _get(cp, section, key, cast, default)
-        kwargs = fields[section]
+        kwargs = values[section]
         kwargs[field] = (kwargs[field], value) if field in kwargs else value
-    if fields["run"]["mode"] not in MODES:
-        raise ConfigError(f"[run] mode must be one of {MODES}, got {fields['run']['mode']!r}")
-    grid = _build("grid", KGrid, **fields["grid"])
-    ft = _build("ft", FTConfig, **fields["ft"])
+    if values["run"]["mode"] not in MODES:
+        raise ConfigError(f"[run] mode must be one of {MODES}, got {values['run']['mode']!r}")
+    grid = _build("grid", KGrid, **values["grid"])
+    ft = _build("ft", FTConfig, **values["ft"])
     _build("ft", check_k_range, ft, grid)
     _build("ft", check_r_range, ft, grid)
-    fitness = _build("fitness", FitnessConfig, ft=ft, **fields["fitness"])
-    ga = _build("ga", GAConfig, **fields["ga"])
+    fitness = _build("fitness", FitnessConfig, ft=ft, **values["fitness"])
+    ga = _build("ga", GAConfig, **values["ga"])
 
     synth_paths = None
     if "synth_paths" in cp:
         synth_paths = [(key, *_get(cp, "synth_paths", key, _list(lengths=(3, 4))))
                        for key in cp["synth_paths"]]
-    synth = fields["synth"]
+    synth = values["synth"]
     lists = [synth.pop(key) for key in PATH_GENES]
     delta_e0 = synth.pop("delta_e0")
     if len({len(v) for v in lists}) != 1:
@@ -241,11 +232,11 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("[synth] parameter lists must match [synth_paths] count")
     per_path = _build("synth", lambda: tuple(map(PathParams, *lists)))
     truth = Chromosome(delta_e0, per_path) if per_path else None
-    error_ranges = {name: fields["error"].pop(name) for name in DEFAULT_HYPER_RANGES}
+    error_ranges = {name: values["error"].pop(name) for name in DEFAULT_HYPER_RANGES}
     return RunConfig(
-        grid=grid, ga=ga, fitness=fitness, gene_bounds=fields["genes"],
+        grid=grid, ga=ga, fitness=fitness, gene_bounds=values["genes"],
         synth_paths=synth_paths, truth=truth, error_ranges=error_ranges,
-        **fields["run"], **synth, **fields["cutoff"], **fields["error"], **fields["benchmark"],
+        **values["run"], **synth, **values["cutoff"], **values["error"], **values["benchmark"],
     )
 
 
@@ -411,13 +402,13 @@ MODES = tuple(RUNNERS)
 
 def run(cfg: RunConfig) -> list[str]:
     """Execute the configured mode, then make the output directory and write
-    the mode's artifacts and manifest.json into it, each atomically; returns
-    the written paths.  A mode that fails writes nothing."""
+    the mode's artifacts and manifest.json (with the seed the mode drew from)
+    into it, each atomically; returns the written paths.  A failed mode writes nothing."""
     artifacts = RUNNERS[cfg.mode](cfg)
     manifest = {
         "mode": cfg.mode,
         "version": __version__,
-        "seed": cfg.ga.rng_seed,
+        "seed": cfg.synth_seed if cfg.mode == "synth" else cfg.ga.rng_seed,
         "artifacts": list(artifacts),
     }
     artifacts["manifest.json"] = [json.dumps(manifest, indent=2, sort_keys=True)]

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .paths import PathSet, ScatteringPath
-from .spectra import EV_TO_KSQ, KGrid, KSpectrum
+from .spectra import EV_TO_KSQ, KGrid, KSpectrum, SpectrumError
 
 
 class ModelError(ValueError):
@@ -70,13 +70,19 @@ def evaluate_model_masked(
     paths: PathSet, chromosome, grid: KGrid
 ) -> tuple[np.ndarray, int]:
     """Model chi(k) plus the index of its first valid point, as
-    ModelEvaluator.evaluate_genes returns them.
+    ModelEvaluator.evaluate_genes returns them.  A path whose contribution
+    overflows is a SpectrumError that names it.
 
     `chromosome` provides .to_genes() (a flat gene vector, see
     ModelEvaluator.evaluate_genes).
     """
-    terms, first = ModelEvaluator(paths, grid).evaluate_paths(chromosome.to_genes())
-    return terms.sum(axis=0), first
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms, first = ModelEvaluator(paths, grid).evaluate_paths(chromosome.to_genes())
+        chi = terms.sum(axis=0)
+    bad = np.flatnonzero(~np.isfinite(terms).all(axis=1))
+    if bad.size:
+        raise SpectrumError(f"path {paths.paths[bad[0]].label}: model chi is not finite")
+    return chi, first
 
 
 def evaluate_model(paths: PathSet, chromosome, grid: KGrid) -> KSpectrum:

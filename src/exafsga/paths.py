@@ -19,20 +19,29 @@ from .spectra import KGrid
 
 
 class PathParseError(ValueError):
-    """Malformed scattering-path file or theory data.  ``sample`` is the index
-    of the first theory sample that breaks a per-sample rule of ScatteringPath
-    (finite values, k order, lambda > 0); ``field`` names the scalar field
-    (degeneracy or r_eff) whose rule broke; ``line`` is the number of the file
-    line that caused the error, and str() then reads "line <line>: <reason>".
-    Each is None where it does not apply."""
+    """Malformed scattering-path file, manifest or theory data.  ``sample`` is
+    the index of the first theory sample that breaks a per-sample rule of
+    ScatteringPath (finite values, k order, lambda > 0); ``field`` names the
+    scalar field (degeneracy or r_eff) whose rule broke; ``file`` is the file
+    and ``line`` the number of its line that caused the error.  str() reads
+    "<file>:<line>: <reason>", "<file>: <reason>" without a line, and
+    "line <line>: <reason>" without a file.  Each is None where it does not
+    apply."""
 
     def __init__(self, reason: str, sample: int | None = None, field: str | None = None,
-                 line: int | None = None):
+                 line: int | None = None, file: str | os.PathLike | None = None):
         super().__init__(reason)
-        self.reason, self.sample, self.field, self.line = reason, sample, field, line
+        self.reason, self.sample, self.field = reason, sample, field
+        self.line, self.file = line, file
 
     def __str__(self) -> str:
-        return self.reason if self.line is None else f"line {self.line}: {self.reason}"
+        if self.file is not None:
+            where = self.file if self.line is None else f"{self.file}:{self.line}"
+        elif self.line is not None:
+            where = f"line {self.line}"
+        else:
+            return self.reason
+        return f"{where}: {self.reason}"
 
 
 def _check_samples(bad: np.ndarray, message: str) -> None:
@@ -117,6 +126,7 @@ class PathSet:
 
 _DASHES = re.compile(r"^\s*-{4,}\s*$")
 _COLUMN_HEADER = re.compile(r"real\[2\*phc\]|mag\[feff\]")
+_COMMENT = re.compile(r"(?:^|\s)#")  # a manifest comment: a token that starts with '#'
 
 
 def _numbers(text: str) -> tuple[list[float], int]:
@@ -206,35 +216,40 @@ def serialize_feff_path(path: ScatteringPath, nleg: int = 2) -> str:
 
 
 def load_path_file(path, label: str | None = None) -> ScatteringPath:
-    """Parse a path file; a PathParseError names the file, and the line as
-    "<file>:<line>:" where parse_feff_path names one."""
+    """Parse a path file; a PathParseError holds the file as ``file``, beside
+    the line, sample or field that parse_feff_path set."""
     with open(path) as fh:
         content = fh.read()
     try:
         return parse_feff_path(content, label=label or os.path.basename(str(path)))
     except PathParseError as exc:
-        where = f"{path}: " if exc.line is None else f"{path}:{exc.line}: "
-        raise PathParseError(where + exc.reason) from None
+        exc.file = path
+        raise
 
 
 def load_manifest(manifest_path) -> PathSet:
     """Load a PathSet from a manifest: one path filename per line, with an
-    optional degeneracy override as a second token. '#' comments allowed.
+    optional degeneracy override as a second token.  A token that starts with
+    '#' begins a comment; any other third token is a PathParseError.
     Filenames are resolved relative to the manifest's directory."""
     base = os.path.dirname(os.path.abspath(str(manifest_path)))
     paths = []
     first_line: dict[str, int] = {}  # label -> manifest line that listed it
     with open(manifest_path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = _COMMENT.split(raw, maxsplit=1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
+            if len(parts) > 2:
+                raise PathParseError(
+                    f"unexpected token {parts[2]!r}: a line holds a path file name"
+                    " and at most one degeneracy", file=manifest_path, line=lineno
+                )
             fname = parts[0]
             if fname in first_line:
                 raise PathParseError(
-                    f"{manifest_path}:{lineno}: path {fname} already listed"
-                    f" on line {first_line[fname]}; path labels must be unique"
+                    f"path {fname} already listed on line {first_line[fname]};"
+                    " path labels must be unique", file=manifest_path, line=lineno
                 )
             first_line[fname] = lineno
             sp = load_path_file(os.path.join(base, fname), label=fname)
@@ -242,12 +257,11 @@ def load_manifest(manifest_path) -> PathSet:
                 try:  # float() and ScatteringPath's checks
                     sp = replace(sp, degeneracy=float(parts[1]))
                 except ValueError:
-                    raise PathParseError(
-                        f"{manifest_path}:{lineno}: bad degeneracy override {parts[1]!r}"
-                    ) from None
+                    raise PathParseError(f"bad degeneracy override {parts[1]!r}",
+                                         file=manifest_path, line=lineno) from None
             paths.append(sp)
     if not paths:
-        raise PathParseError(f"{manifest_path}: empty manifest")
+        raise PathParseError("empty manifest", file=manifest_path)
     return PathSet(paths=tuple(paths))
 
 

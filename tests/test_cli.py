@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import re
 import textwrap
@@ -112,6 +114,20 @@ class TestParseConfig:
         assert rc.ga == GAConfig()
         assert rc.fitness == FitnessConfig(ft=FTConfig(k_range=(2.5, 12.0)))
         assert rc.gene_bounds == GENE_BOUNDS
+
+    def test_ga_keys_are_gaconfig_fields(self):
+        """[ga] reads GAConfig's fields in order, the bounds pair as its two
+        keys, each with GAConfig's default."""
+        rows = [row for row in cli.SETTINGS if row[0] == "ga"]
+        keys = [f.name for f in dataclasses.fields(GAConfig)]
+        i = keys.index("mutation_rate_bounds")
+        keys[i:i + 1] = ["mutation_rate_min", "mutation_rate_max"]
+        assert [key for _, key, *_ in rows] == keys
+        assert cli.KEYS["ga"] == set(keys)
+        defaults = {}
+        for _, _, field, _, default in rows:
+            defaults[field] = (defaults[field], default) if field in defaults else default
+        assert defaults == dataclasses.asdict(GAConfig())
 
     def test_gene_triple_parse_error(self, tmp_path):
         cfg = write_config(tmp_path, "[run]\nmode = fit\n\n[genes]\ns02 = 0 1\n")
@@ -282,6 +298,15 @@ class TestMainSynth:
         model = evaluate_model(build_paths(rc), rc.truth, rc.grid)
         lines = chi_file_lines(rc.grid.ks, model.chi, "synthetic spectrum (snr=None, seed=4)")
         assert (out / "synthetic_chi.dat").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("args,seed", [([], 4), (["--seed", "7"], 7)])
+    def test_manifest_records_the_noise_seed(self, tmp_path, args, seed):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SYNTH_CONFIG.format(out=out))
+        assert main(["synth", "--config", cfg, *args]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+        header = (out / "synthetic_chi.dat").read_text().splitlines()[0]
+        assert header.endswith(f"seed={seed})")
 
     def test_out_overrides_output_dir(self, tmp_path, capsys):
         configured, out = tmp_path / "configured", tmp_path / "override"
@@ -627,6 +652,42 @@ class TestMainInputErrors:
         assert capsys.readouterr().err == (
             f"input error: {tmp_path / 'shell1.dat'}:{summary}: degeneracy must be positive\n"
         )
+
+    def test_manifest_line_with_a_third_token(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        grid = KGrid(0.5, 12.5, 0.05)
+        (tmp_path / "shell1.dat").write_text(serialize_feff_path(synth_path(2.3, 6, grid)))
+        manifest = tmp_path / "paths.manifest"
+        manifest.write_text("shell1.dat 6 extra\n")
+        cfg = write_config(tmp_path, f"""
+            [run]
+            mode = fit
+            output_dir = {tmp_path / "out"}
+            data_file = unread.dat
+            path_manifest = {manifest}
+            """)
+        assert main(["fit", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"input error: {manifest}:1: unexpected token 'extra'")
+
+    def test_overflowing_synth_truth_names_the_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"""
+            [run]
+            mode = synth
+            output_dir = {tmp_path / "out"}
+
+            [synth_paths]
+            a = 2.3 1e300 1.0
+
+            [synth]
+            s02 = 1e300
+            sigma2 = 0.003
+            delta_r = 0
+            snr = none
+            """)
+        assert main(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "input error: path a: model chi is not finite\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestMainCutoffSweep:

@@ -13,7 +13,7 @@ from exafsga.model import (
     shift_k,
 )
 from exafsga.paths import PathSet, ScatteringPath, synth_path
-from exafsga.spectra import EV_TO_KSQ, KGrid
+from exafsga.spectra import EV_TO_KSQ, KGrid, SpectrumError
 
 
 def flat_amplitude_path(grid, r_eff=2.0, lam=1e14):
@@ -213,6 +213,14 @@ class TestEvaluateModel:
         a = evaluate_model(ps, chrom, grid).chi
         b = evaluate_model(ps, chrom, grid).chi
         assert np.array_equal(a, b)
+
+    def test_overflowing_path_is_named(self):
+        grid = KGrid(0.5, 12.0, 0.05)
+        ps = PathSet(paths=(synth_path(2.0, 6.0, grid, label="small"),
+                            synth_path(2.3, 1e300, grid, label="big")))
+        chrom = Chromosome(0.0, (PathParams(0.8, 0.003, 0.0), PathParams(1e300, 0.003, 0.0)))
+        with pytest.raises(SpectrumError, match="^path big: model chi is not finite$"):
+            evaluate_model(ps, chrom, grid)
 
 
 class TestModelEvaluator:

@@ -122,6 +122,25 @@ class TestParser:
             load_path_file(p)
         assert str(info.value) == f"{p}:{line}: {reason}"
 
+    @pytest.mark.parametrize(
+        "old,new,line,sample,field",
+        [
+            ("6.1446e+00", "0.0000e+00", 7, 1, None),
+            ("12.00000", "-12.00000", 4, None, "degeneracy"),
+            (" ---", " ===", None, None, None),
+        ],
+    )
+    def test_load_path_file_keeps_the_parser_error(self, tmp_path, old, new, line, sample,
+                                                   field):
+        p = tmp_path / "feff0001.dat"
+        p.write_text(MINIMAL_FILE.replace(old, new))
+        with pytest.raises(PathParseError) as info:
+            load_path_file(p)
+        exc = info.value
+        assert (exc.file, exc.line, exc.sample, exc.field) == (p, line, sample, field)
+        assert str(exc).startswith(f"{p}: " if line is None else f"{p}:{line}: ")
+        assert "parse_feff_path" in {entry.name for entry in info.traceback}
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_fewer_than_two_rows_after_column_header(self, rows):
         lines = MINIMAL_FILE.splitlines()
@@ -369,3 +388,26 @@ class TestManifest:
         message = str(info.value)
         assert f"{manifest}:4:" in message
         assert "feff0000.dat" in message and "line 1" in message
+
+    def test_comment_token_ends_the_line(self, tmp_path):
+        grid = KGrid(0.5, 10.0, 0.1)
+        for i in range(2):
+            p = synth_path(2.5 + i, 12, grid, label=f"f{i}")
+            (tmp_path / f"feff000{i}.dat").write_text(serialize_feff_path(p))
+        manifest = tmp_path / "paths.txt"
+        manifest.write_text("feff0000.dat 6 # note\nfeff0001.dat #48\n")
+        ps = load_manifest(manifest)
+        assert [p.degeneracy for p in ps] == [6.0, 12.0]
+
+    def test_third_token_names_manifest_line(self, tmp_path):
+        grid = KGrid(0.5, 10.0, 0.1)
+        (tmp_path / "a.dat").write_text(serialize_feff_path(synth_path(2.5, 12, grid)))
+        manifest = tmp_path / "paths.txt"
+        manifest.write_text("# comment\na.dat 8 whatever else\n")
+        with pytest.raises(PathParseError) as info:
+            load_manifest(manifest)
+        assert (info.value.file, info.value.line) == (manifest, 2)
+        assert str(info.value) == (
+            f"{manifest}:2: unexpected token 'whatever': a line holds a path file name"
+            " and at most one degeneracy"
+        )
