@@ -97,13 +97,15 @@ class ModelEvaluator:
 
     Interpolation tables depend only on delta_e0, which is quantized in the
     genetic search, so they are cached per value, up to cache_size tables
-    (the oldest is dropped first); the remaining arithmetic is vectorized
-    across paths.  Paths whose k_theory arrays are byte-equal share one
-    theory grid: their f_eff, phase_scatter, phase_central and lam rows are
-    stacked, with the slopes of each interval, so a table costs one
-    searchsorted and one gather per theory grid.  The gather computes
-    slope[j]*(k' - kt[j]) + fp[j], the formula np.interp uses, so the tables
-    equal np.interp's bit for bit.
+    (the oldest is dropped first).  A table holds every factor of the kernel
+    that depends on delta_e0 alone (2k', deg*F/k', the summed phases,
+    -2/lambda and -2k'^2), so a scored row computes only what its own genes
+    change, vectorized across paths.  Paths whose k_theory arrays are
+    byte-equal share one theory grid: their f_eff, phase_scatter,
+    phase_central and lam rows are stacked, with the slopes of each
+    interval, so a table costs one searchsorted and one gather per theory
+    grid.  The gather computes slope[j]*(k' - kt[j]) + fp[j], the formula
+    np.interp uses, so the tables equal np.interp's bit for bit.
 
     The energy shift invalidates a prefix of the grid (shift_k); each table
     states it as first, the index of the first valid point (n_points when
@@ -181,11 +183,11 @@ class ModelEvaluator:
             for idx, kt, fp, slope in self._groups:
                 interp[:, idx] = self._gather(kt, fp, slope, kv)
         f, phase_scatter, phase_central, lam = interp
-        # The per-row kernel's constants: deg*F/k, -2/lambda and -2k^2.
+        # The per-row kernel's constants: 2k, deg*F/k, phase, -2/lambda and -2k^2.
         entry = (
             first,
             used,
-            kv,
+            2.0 * kv,
             self.deg[:, None] * f / kv,
             phase_scatter + phase_central,
             -2.0 / lam,
@@ -213,8 +215,8 @@ class ModelEvaluator:
         n = len(PATH_GENES)
         if genes.size != 1 + n * self.n_paths:
             raise ModelError(f"{genes.size} genes for {self.n_paths} paths")
-        first, used, kv, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
-        if kv.size == 0:
+        first, used, two_k, deg_f_k, phase, neg2_inv_lam, neg2_k2 = self._tables(genes[0])
+        if two_k.size == 0:
             return np.empty((self.n_paths, 0)), first, used
         s02 = genes[1::n]
         sigma2 = genes[2::n]
@@ -225,11 +227,14 @@ class ModelEvaluator:
                 f"path {self.paths.paths[bad].label}: r_eff + delta_r = {r[bad]}"
                 " must be positive"
             )
-        # exp(-2 sigma^2 k^2 - 2R/lambda) and sin(2kR + phase), each in place.
+        # exp(-2 sigma^2 k^2 - 2R/lambda) and sin(2kR + phase), each in place;
+        # osc holds -2R/lambda until the exponent has it.
+        rc = r[:, None]
         terms = sigma2[:, None] * neg2_k2
-        terms += r[:, None] * neg2_inv_lam
+        osc = rc * neg2_inv_lam
+        terms += osc
         np.exp(terms, out=terms)
-        osc = r[:, None] * (2.0 * kv)
+        np.multiply(rc, two_k, out=osc)
         osc += phase
         terms *= np.sin(osc, out=osc)
         terms *= deg_f_k

@@ -21,7 +21,7 @@ from .spectra import KGrid
 class PathParseError(ValueError):
     """Malformed scattering-path file, manifest or theory data.  ``sample`` is
     the index of the first theory sample that breaks a per-sample rule of
-    ScatteringPath (finite values, k order, lambda > 0); ``field`` names the
+    ScatteringPath (finite values, k order, lambda > 0, finite slopes); ``field`` names the
     scalar field (degeneracy or r_eff) whose rule broke; ``file`` is the file
     and ``line`` the number of its line that caused the error.  str() reads
     "<file>:<line>: <reason>", "<file>: <reason>" without a line, and
@@ -57,7 +57,9 @@ class ScatteringPath:
 
     The constructor is the one statement of a path's rules: degeneracy and
     r_eff finite and positive; finite arrays of one length, at least two
-    samples; k_theory strictly increasing; lam positive.
+    samples; k_theory strictly increasing; lam positive; a finite k_theory
+    step and a finite slope of f_eff, phase_scatter, phase_central and lam
+    between adjacent samples.
     """
 
     label: str
@@ -91,9 +93,20 @@ class ScatteringPath:
                 raise PathParseError(f"{name} length {arr.shape} != {n}")
         if n < 2:
             raise PathParseError("need at least two theory samples")
-        _check_samples(np.diff(self.k_theory, prepend=-np.inf) <= 0,
-                       "k_theory not strictly increasing")
-        _check_samples(self.lam <= 0, "lambda must be positive everywhere")
+        with np.errstate(over="ignore"):
+            step = np.diff(self.k_theory, prepend=-np.inf)  # step[i]: from sample i-1
+            _check_samples(step <= 0, "k_theory not strictly increasing")
+            _check_samples(self.lam <= 0, "lambda must be positive everywhere")
+            # ModelEvaluator tabulates each interval's slope of the arrays it
+            # interpolates: a step or slope that overflows breaks the rule at
+            # the interval's upper sample.
+            step[0] = 1.0
+            overflow = "from the previous sample is not finite"
+            _check_samples(~np.isfinite(step), f"path {self.label}: k_theory step {overflow}")
+            for name in ("f_eff", "phase_scatter", "phase_central", "lam"):
+                arr = getattr(self, name)
+                _check_samples(~np.isfinite(np.diff(arr, prepend=arr[0]) / step),
+                               f"path {self.label}: {name} slope {overflow}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -632,6 +633,44 @@ class TestMainInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {tmp_path / 'shell1.dat'}:{bad}: ")
         assert err.endswith(" has non-finite values\n")
+
+    @pytest.mark.parametrize("kind", ["alternating", "step"])
+    def test_overflowing_path_slope(self, tmp_path, capsys, kind):
+        # f_eff alternating +-1e308 (the difference overflows), or 1e308
+        # below k = 1 (the slope overflows at k = 1): exit 2 naming the
+        # file's line, the path and the array, with no numpy warning.
+        grid = KGrid(0.5, 12.5, 0.05)
+        lines = serialize_feff_path(synth_path(2.3, 6, grid, label="shell1")).splitlines()
+        first_row = 5  # the first data row, numbered from 1
+        for n in range(first_row, len(lines) + 1):
+            row = lines[n - 1].split()
+            if kind == "alternating":
+                row[2] = "1e308" if n % 2 else "-1e308"
+            elif float(row[0]) < 1.0:
+                row[2] = "1e308"
+            lines[n - 1] = " ".join(row)
+        bad = first_row + (1 if kind == "alternating" else 20)
+        (tmp_path / "shell1.dat").write_text("\n".join(lines) + "\n")
+        (tmp_path / "paths.manifest").write_text("shell1.dat\n")
+        cfg = write_config(tmp_path, f"""
+            [run]
+            mode = fit
+            output_dir = {tmp_path / "out"}
+            data_file = {run_synth(tmp_path)}
+            path_manifest = {tmp_path / "paths.manifest"}
+
+            [genes]
+            delta_e0 = -0.1 0 0.1
+            """)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'shell1.dat'}:{bad}: path shell1.dat:"
+            " f_eff slope from the previous sample is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_negative_path_degeneracy(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_ga", no_fit)

@@ -296,9 +296,9 @@ class TestPerRowPath:
     SHIFT_PAST_FIT_START = 20.0  # eV: k' <= 0 below k = 2.29, inside the fit range
     SHIFT_PAST_FIT_END = 500.0  # eV: k' <= 0 below k = 11.46, past the fit range
 
-    def make(self, space, fit_paths=None):
+    def make(self, space, fit_paths=None, **settings):
         """Objective on noisy three-path data, fitting fit_paths (default:
-        the data's own paths)."""
+        the data's own paths); settings are further FitnessConfig fields."""
         grid = self.GRID
         paths = PathSet(
             paths=tuple(synth_path(2.2 + 0.6 * i, 6, grid, label=f"p{i}") for i in range(3))
@@ -307,7 +307,7 @@ class TestPerRowPath:
         rng = np.random.default_rng(5)
         chi = ModelEvaluator(paths, grid).evaluate_genes(truth)[0]
         data = KSpectrum(grid, chi + rng.normal(0.0, 0.01, grid.n_points))
-        cfg = FitnessConfig(ft=self.FT, space=space)
+        cfg = FitnessConfig(ft=self.FT, space=space, **settings)
         return SpectrumObjective(data, fit_paths or paths, cfg), rng
 
     def composed(self, obj, genes):
@@ -336,6 +336,35 @@ class TestPerRowPath:
         assert valid[fit].any() and not valid[fit].all()  # the shift cuts into the fit range
         for genes in rows:
             assert obj.evaluate_genes(genes) == self.composed(obj, genes)
+
+    @pytest.mark.parametrize("epsilon,n_indep", [(1.0, None), (0.37, None), (1.0, 17), (0.37, 17)])
+    @pytest.mark.parametrize("space", ["K", "R", "K+R"])
+    def test_equals_report_composition(self, space, epsilon, n_indep):
+        """The fit-only and dE0-only constants evaluate_genes reads give
+        report()'s numbers: the path rows of evaluate_paths summed, then
+        compared in full, bit for bit.  dE0 spans shifts that leave the fit
+        range whole and shifts that cut into it (first > _lo)."""
+        obj, rng = self.make(space, epsilon=epsilon, n_indep=n_indep)
+        codec = GeneCodec(default_gene_specs(3, e0_bounds=(-10.0, 30.0, 0.01)))
+        rows = codec.decode(codec.random(rng, 100))
+        k = self.GRID.ks
+        kw = k**obj.config.k_weight
+        data_r = transform_k_to_r(obj.data, self.FT).magnitude
+        lo, hi = np.flatnonzero((k >= self.FT.k_range[0]) & (k <= self.FT.k_range[1]))[[0, -1]]
+        firsts = []
+        for genes in rows:
+            terms, first = obj._evaluator.evaluate_paths(genes)
+            chi = terms.sum(axis=0)
+            expected = 0.0
+            if space in ("K", "K+R"):
+                m = slice(max(first, lo), hi + 1)
+                expected += chi2(kw[m] * chi[m], kw[m] * obj.data.chi[m], obj.config)
+            if space in ("R", "K+R"):
+                model_r = transform_k_to_r(KSpectrum(self.GRID, chi), self.FT).magnitude
+                expected += chi2(model_r, data_r, obj.config)
+            assert obj.evaluate_genes(genes) == expected
+            firsts.append(first)
+        assert min(firsts) <= lo < max(firsts)  # both K-space branches ran
 
     @pytest.mark.parametrize("space", ["K", "K+R"])
     def test_fit_range_all_invalid_names_generation_and_individual(self, space):

@@ -326,11 +326,12 @@ class TestTables:
     @staticmethod
     def assert_tables_match_interp(ps, grid, delta_e0):
         ev = ModelEvaluator(ps, grid)
-        first, used, kv, deg_f_k, phase, neg2_inv_lam, _ = ev._tables(delta_e0)
+        first, used, two_k, deg_f_k, phase, neg2_inv_lam, _ = ev._tables(delta_e0)
         kp, valid_ref = shift_k(grid, delta_e0)
         np.testing.assert_array_equal(np.arange(grid.n_points) >= first, valid_ref)
         assert used == slice(first, grid.n_points)
-        np.testing.assert_array_equal(kv, kp[valid_ref])
+        np.testing.assert_array_equal(two_k, 2.0 * kp[valid_ref])
+        kv = kp[valid_ref]
         for i, p in enumerate(ps):
             kt = p.k_theory
             np.testing.assert_array_equal(

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,34 @@ class TestScatteringPathInvariants:
         with pytest.raises(PathParseError) as info:
             ScatteringPath(**self.fields(**changes))
         assert info.value.sample == sample
+
+    @pytest.mark.parametrize(
+        "changes,name,sample",
+        [
+            # The difference of two samples overflows.
+            (dict(f_eff=np.array([0.5, 1e308, -1e308, 1e308])), "f_eff", 2),
+            (dict(phase_scatter=np.array([0.0, 0.0, 1.7e308, -1.7e308])), "phase_scatter", 3),
+            (dict(k_theory=np.array([-1e308, 1e308, 1.5e308, 1.6e308])), "k_theory", 1),
+            # The difference is finite; its quotient by the k step overflows.
+            (dict(k_theory=np.array([0.0, 0.5, 1.0, 1.5]), lam=np.array([1.0, 1.0, 1e308, 1.0])),
+             "lam", 2),
+            (dict(k_theory=np.array([0.0, 0.5, 1.0, 1.5]),
+                  phase_central=np.array([1e308, 0.0, 0.0, 0.0])), "phase_central", 1),
+        ],
+    )
+    def test_non_finite_slope_names_path_array_and_sample(self, changes, name, sample):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PathParseError) as info:
+                ScatteringPath(**self.fields(**changes))
+        what = "step" if name == "k_theory" else "slope"
+        assert str(info.value) == f"path shell1: {name} {what} from the previous sample is not finite"
+        assert info.value.sample == sample
+
+    def test_steep_finite_slopes_accepted(self):
+        path = ScatteringPath(**self.fields(
+            k_theory=np.array([0.0, 1e-300, 1.0, 2.0]), f_eff=np.array([0.0, 1e-10, 1e300, 0.0])))
+        assert np.isfinite(np.diff(path.f_eff) / np.diff(path.k_theory)).all()
 
     @pytest.mark.parametrize(
         "changes,reason",
