@@ -104,9 +104,6 @@ class SpectrumObjective:
     range from the evaluator's first valid index on, and R-space terms
     transform both spectra before comparing magnitudes over r_range.  The
     fit k_range must pass check_k_range on the data's grid (FitnessError).
-    The k-weights and k-weighted data over the whole fit range are sliced
-    once here: a gene vector whose shift leaves that range valid reads them
-    as they are, and one whose shift cuts into it slices them anew.
 
     The model is evaluated only on the slice of the grid these comparisons
     read: the hull of the fit k_range and the columns of the k->r transform
@@ -130,8 +127,6 @@ class SpectrumObjective:
         self._lo, self._hi = fit.start, fit.stop
         self._kw = self.grid.ks**config.k_weight
         self._kw_data = self._kw * data.chi
-        self._fit = fit
-        self._kw_fit, self._kw_data_fit = self._kw[fit], self._kw_data[fit]
         self._data_r = transform_k_to_r(data, config.ft).magnitude
         self._to_r = k_to_r_map(self.grid, config.ft)
         cols = self._to_r.columns
@@ -144,11 +139,8 @@ class SpectrumObjective:
         chi, first = self._evaluator.evaluate_genes(genes)
         total = 0.0
         if self._in_k:
-            if first <= self._lo:
-                total += chi2(self._kw_fit * chi[self._fit], self._kw_data_fit, self.config)
-            else:
-                m = slice(first, self._hi)
-                total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
+            m = slice(max(first, self._lo), self._hi)
+            total += chi2(self._kw[m] * chi[m], self._kw_data[m], self.config)
         if self._in_r:
             # The evaluator writes an exact 0 at the points the shift invalidates.
             total += chi2(np.abs(self._to_r(chi)), self._data_r, self.config)

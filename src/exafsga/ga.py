@@ -357,10 +357,8 @@ def evolve(
 
     Every operator works on int64 index rows (see GeneCodec).  One memoized
     scorer decodes each block it scores once and calls objective on the rows
-    its memo lacks, in row order; a metropolis mutant, scored alone, is
-    decoded only when the memo lacks it.  The memo holds the generation's
-    population and every row scored since; it is the only rule for skipping
-    a row.
+    its memo lacks, in row order.  The memo holds the generation's population
+    and every row scored since; it is the only rule for skipping a row.
     Each generation's crossover stage scores the children only.  Maximum and
     nested mutation then score every non-elite row once, as mutated; no draw
     reads a random row's fitness before that.  Metropolis, whose acceptance
@@ -391,24 +389,6 @@ def evolve(
     codec = GeneCodec(gene_specs)
     memo: dict[bytes, float] = {}  # this generation's scored index rows
 
-    def call_objective(key: bytes, genes, generation: int, index: int) -> float:
-        """The objective's fitness of genes, the decoded population row index,
-        checked and memoized under key, the row's index bytes."""
-        try:
-            fitness = float(objective(genes))
-        except ValueError as exc:
-            raise GAError(
-                f"fitness evaluation failed at generation {generation}, "
-                f"individual {index}: {exc}"
-            ) from exc
-        if not math.isfinite(fitness):
-            raise GAError(
-                f"fitness {fitness} at generation {generation}, "
-                f"individual {index}, genes {genes.tolist()}"
-            )
-        memo[key] = fitness
-        return fitness
-
     def score(rows, generation: int, first: int) -> np.ndarray:
         """Fitness of each index row of the block rows, row i at population
         index first + i: the memo's, else the objective's, in row order."""
@@ -417,17 +397,21 @@ def evolve(
             key = row.tobytes()
             fitness = memo.get(key)
             if fitness is None:
-                fitness = call_objective(key, genes, generation, first + i)
+                try:
+                    fitness = float(objective(genes))
+                except ValueError as exc:
+                    raise GAError(
+                        f"fitness evaluation failed at generation {generation}, "
+                        f"individual {first + i}: {exc}"
+                    ) from exc
+                if not math.isfinite(fitness):
+                    raise GAError(
+                        f"fitness {fitness} at generation {generation}, "
+                        f"individual {first + i}, genes {genes.tolist()}"
+                    )
+                memo[key] = fitness
             fits[i] = fitness
         return fits
-
-    def score_mutant(row) -> float:
-        """Fitness of row, the metropolis mutant of pop[idx] in generation gen
-        (both read when called): the memo's, else the objective's.  The row
-        is decoded only when the memo lacks it."""
-        key = row.tobytes()
-        fitness = memo.get(key)
-        return call_objective(key, codec.decode(row), gen, idx) if fitness is None else fitness
 
     rng = np.random.default_rng(ga_config.rng_seed)
     pop_size = ga_config.population_size
@@ -483,7 +467,8 @@ def evolve(
             k_cool = cooling_rate(delta_f, gen - 1, ga_config.max_generations)
             for idx in range(n_elite, pop_size):
                 pop[idx], fits[idx] = mutate_metropolis(
-                    pop[idx], sigma, fits[idx], k_cool, rng, score_mutant, codec
+                    pop[idx], sigma, fits[idx], k_cool, rng,
+                    lambda m: score(m[None], gen, idx)[0], codec,
                 )
         else:
             # No draw depends on a score: draw all mutants, then score them all.

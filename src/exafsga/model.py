@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .paths import PathSet, ScatteringPath
+from .paths import INTERPOLATED, PathSet, ScatteringPath, interval_slopes
 from .spectra import EV_TO_KSQ, KGrid, KSpectrum, SpectrumError
 
 
@@ -143,13 +143,10 @@ class ModelEvaluator:
         for idx in by_grid.values():
             kt = paths.paths[idx[0]].k_theory
             fp = np.array(
-                [
-                    [getattr(paths.paths[i], name) for i in idx]
-                    for name in ("f_eff", "phase_scatter", "phase_central", "lam")
-                ]
+                [[getattr(paths.paths[i], name) for i in idx] for name in INTERPOLATED]
             )
             slope = np.zeros_like(fp)
-            slope[..., :-1] = np.diff(fp, axis=-1) / np.diff(kt)
+            slope[..., :-1] = interval_slopes(kt, fp)
             self._groups.append((idx, kt, fp, slope))
         self._cache: dict = {}
         self._cache_size = cache_size

@@ -21,12 +21,12 @@ from .spectra import KGrid
 class PathParseError(ValueError):
     """Malformed scattering-path file, manifest or theory data.  ``sample`` is
     the index of the first theory sample that breaks a per-sample rule of
-    ScatteringPath (finite values, k order, lambda > 0, finite slopes); ``field`` names the
-    scalar field (degeneracy or r_eff) whose rule broke; ``file`` is the file
-    and ``line`` the number of its line that caused the error.  str() reads
-    "<file>:<line>: <reason>", "<file>: <reason>" without a line, and
-    "line <line>: <reason>" without a file.  Each is None where it does not
-    apply."""
+    ScatteringPath (finite values, k order, lambda > 0, finite slopes);
+    ``field`` names the scalar field (degeneracy or r_eff) whose rule broke;
+    ``file`` is the file and ``line`` the number of its line that caused the
+    error.  str() reads "<file>:<line>: <reason>", "<file>: <reason>" without
+    a line, and "line <line>: <reason>" without a file.  Each is None where it
+    does not apply."""
 
     def __init__(self, reason: str, sample: int | None = None, field: str | None = None,
                  line: int | None = None, file: str | os.PathLike | None = None):
@@ -44,6 +44,17 @@ class PathParseError(ValueError):
         return f"{where}: {self.reason}"
 
 
+# The theory arrays ModelEvaluator interpolates over k_theory, in the order
+# it stacks them.
+INTERPOLATED = ("f_eff", "phase_scatter", "phase_central", "lam")
+
+
+def interval_slopes(k: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Slope of values, sampled at k along the last axis, on each interval
+    between adjacent samples: the slope table ModelEvaluator interpolates by."""
+    return np.diff(values, axis=-1) / np.diff(k)
+
+
 def _check_samples(bad: np.ndarray, message: str) -> None:
     """Raise PathParseError(message) at the first sample where bad is True."""
     idx = np.flatnonzero(bad)
@@ -58,8 +69,8 @@ class ScatteringPath:
     The constructor is the one statement of a path's rules: degeneracy and
     r_eff finite and positive; finite arrays of one length, at least two
     samples; k_theory strictly increasing; lam positive; a finite k_theory
-    step and a finite slope of f_eff, phase_scatter, phase_central and lam
-    between adjacent samples.
+    step and a finite slope of each INTERPOLATED array between adjacent
+    samples.
     """
 
     label: str
@@ -95,18 +106,19 @@ class ScatteringPath:
             raise PathParseError("need at least two theory samples")
         with np.errstate(over="ignore"):
             step = np.diff(self.k_theory, prepend=-np.inf)  # step[i]: from sample i-1
-            _check_samples(step <= 0, "k_theory not strictly increasing")
-            _check_samples(self.lam <= 0, "lambda must be positive everywhere")
-            # ModelEvaluator tabulates each interval's slope of the arrays it
-            # interpolates: a step or slope that overflows breaks the rule at
-            # the interval's upper sample.
-            step[0] = 1.0
-            overflow = "from the previous sample is not finite"
-            _check_samples(~np.isfinite(step), f"path {self.label}: k_theory step {overflow}")
-            for name in ("f_eff", "phase_scatter", "phase_central", "lam"):
-                arr = getattr(self, name)
-                _check_samples(~np.isfinite(np.diff(arr, prepend=arr[0]) / step),
-                               f"path {self.label}: {name} slope {overflow}")
+        _check_samples(step <= 0, "k_theory not strictly increasing")
+        _check_samples(self.lam <= 0, "lambda must be positive everywhere")
+        # ModelEvaluator tabulates the interval_slopes of the INTERPOLATED
+        # arrays: a k step or slope that overflows breaks the rule at the
+        # interval's upper sample.
+        overflow = "from the previous sample is not finite"
+        _check_samples(np.insert(~np.isfinite(step[1:]), 0, False),
+                       f"path {self.label}: k_theory step {overflow}")
+        with np.errstate(over="ignore"):
+            slopes = interval_slopes(self.k_theory, np.array([getattr(self, n) for n in INTERPOLATED]))
+        for name, slope in zip(INTERPOLATED, slopes):
+            _check_samples(np.insert(~np.isfinite(slope), 0, False),
+                           f"path {self.label}: {name} slope {overflow}")
 
 
 @dataclass(frozen=True)

@@ -340,10 +340,10 @@ class TestPerRowPath:
     @pytest.mark.parametrize("epsilon,n_indep", [(1.0, None), (0.37, None), (1.0, 17), (0.37, 17)])
     @pytest.mark.parametrize("space", ["K", "R", "K+R"])
     def test_equals_report_composition(self, space, epsilon, n_indep):
-        """The fit-only and dE0-only constants evaluate_genes reads give
-        report()'s numbers: the path rows of evaluate_paths summed, then
-        compared in full, bit for bit.  dE0 spans shifts that leave the fit
-        range whole and shifts that cut into it (first > _lo)."""
+        """The dE0-only constants evaluate_genes reads give report()'s
+        numbers: the path rows of evaluate_paths summed, then compared in
+        full, bit for bit.  dE0 spans shifts that leave the fit range whole
+        and shifts that cut into it (first > _lo)."""
         obj, rng = self.make(space, epsilon=epsilon, n_indep=n_indep)
         codec = GeneCodec(default_gene_specs(3, e0_bounds=(-10.0, 30.0, 0.01)))
         rows = codec.decode(codec.random(rng, 100))
@@ -364,7 +364,7 @@ class TestPerRowPath:
                 expected += chi2(model_r, data_r, obj.config)
             assert obj.evaluate_genes(genes) == expected
             firsts.append(first)
-        assert min(firsts) <= lo < max(firsts)  # both K-space branches ran
+        assert min(firsts) <= lo < max(firsts)  # the fit range whole and cut
 
     @pytest.mark.parametrize("space", ["K", "K+R"])
     def test_fit_range_all_invalid_names_generation_and_individual(self, space):
