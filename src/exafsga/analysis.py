@@ -126,6 +126,20 @@ def _derived_seed(base: int, *branch: int) -> int:
     return int(np.random.SeedSequence([int(base), *map(int, branch)]).generate_state(1)[0])
 
 
+def check_cutoff_design(percents, n_repeat: int) -> list:
+    """cutoff_sweep's rules, checked before its first fit: one or more percents,
+    each from 0 to 100 (above 100 % a cutoff removes every path), and n_repeat
+    at least 1; a breach is an AnalysisError.  Returns the percents as a list."""
+    percents = list(percents)
+    if not percents:
+        raise AnalysisError("percents must be non-empty")
+    if not all(0 <= p <= 100 for p in percents):
+        raise AnalysisError(f"percents must be non-negative and at most 100, got {percents}")
+    if n_repeat < 1:
+        raise AnalysisError(f"n_repeat must be at least 1, got {n_repeat}")
+    return percents
+
+
 def cutoff_sweep(
     data: KSpectrum,
     paths: PathSet,
@@ -144,14 +158,7 @@ def cutoff_sweep(
     gene_spec_builder(n_paths) customizes the gene specs of the second-round
     fits (defaults to default_gene_specs).
     """
-    percents = list(percents)
-    if not percents:
-        raise AnalysisError("percents must be non-empty")
-    # Above 100 % a cutoff removes every path: reject it before the first fit.
-    if not all(0 <= p <= 100 for p in percents):
-        raise AnalysisError(f"percents must be non-negative and at most 100, got {percents}")
-    if n_repeat < 1:
-        raise AnalysisError(f"n_repeat must be at least 1, got {n_repeat}")
+    percents = check_cutoff_design(percents, n_repeat)
     if gene_spec_builder is None:
         gene_spec_builder = default_gene_specs
     if gene_specs is None:
@@ -195,29 +202,11 @@ DEFAULT_HYPER_RANGES = {
 MIN_HYPER = {"population": 2, "generations": 1}
 
 
-def error_analysis(
-    data: KSpectrum,
-    paths: PathSet,
-    ga_config: GAConfig,
-    fitness_config: FitnessConfig,
-    n_runs: int = 20,
-    ranges: dict | None = None,
-    seed: int = 0,
-    gene_specs=None,
-) -> ErrorReport:
-    """Repeat the fit under randomized GA hyperparameters and aggregate.
-
-    Each run samples (population size, generation count, mutation rate)
-    uniformly from `ranges` (keys of DEFAULT_HYPER_RANGES, whose values fill
-    the keys left out; another key is an AnalysisError before the first run)
-    and gets its own seed, derived from `seed` alone;
-    ga_config.rng_seed is never read, as each run's seed replaces it.  The
-    rate is clamped to ga_config.mutation_rate_bounds, and the manifest
-    records the clamped rate the run used.  Gene specs that check_gene_specs
-    rejects raise its GAError before the first run; a run that fails with a
-    model or GA error is recorded in the manifest and counted in n_failed;
-    any other exception, such as a bad fit range's FitnessError, propagates.
-    """
+def check_error_design(n_runs: int, ranges: dict | None) -> dict:
+    """error_analysis's rules, checked before its first member: n_runs at
+    least 2, and ranges keyed by DEFAULT_HYPER_RANGES' keys, each (low, high)
+    with low <= high and low at least its MIN_HYPER value, if it has one; a
+    breach is an AnalysisError.  Returns DEFAULT_HYPER_RANGES updated by ranges."""
     if n_runs < 2:
         raise AnalysisError("n_runs must be at least 2")
     unknown = sorted(set(ranges or ()) - set(DEFAULT_HYPER_RANGES))
@@ -231,6 +220,32 @@ def error_analysis(
             raise AnalysisError(f"{name} range {ranges[name]} is reversed")
         if low < MIN_HYPER.get(name, low):
             raise AnalysisError(f"{name} range {ranges[name]} starts below {MIN_HYPER[name]}")
+    return ranges
+
+
+def error_analysis(
+    data: KSpectrum,
+    paths: PathSet,
+    ga_config: GAConfig,
+    fitness_config: FitnessConfig,
+    n_runs: int = 20,
+    ranges: dict | None = None,
+    seed: int = 0,
+    gene_specs=None,
+) -> ErrorReport:
+    """Repeat the fit under randomized GA hyperparameters and aggregate.
+
+    Each run samples (population size, generation count, mutation rate)
+    uniformly from the ranges check_error_design(n_runs, ranges) returns and
+    gets its own seed, derived from `seed` alone;
+    ga_config.rng_seed is never read, as each run's seed replaces it.  The
+    rate is clamped to ga_config.mutation_rate_bounds, and the manifest
+    records the clamped rate the run used.  Gene specs that check_gene_specs
+    rejects raise its GAError before the first run; a run that fails with a
+    model or GA error is recorded in the manifest and counted in n_failed;
+    any other exception, such as a bad fit range's FitnessError, propagates.
+    """
+    ranges = check_error_design(n_runs, ranges)
     if gene_specs is None:
         gene_specs = default_gene_specs(len(paths))
     check_gene_specs(gene_specs, len(paths))

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields, replace
 
 from . import __version__
 from .analysis import (
-    DEFAULT_HYPER_RANGES, MIN_HYPER, cutoff_sweep, error_analysis, synth_generate,
+    DEFAULT_HYPER_RANGES, check_cutoff_design, check_error_design, cutoff_sweep,
+    error_analysis, synth_generate,
 )
 from .fitness import FitnessConfig
 from .ga import GENE_BOUNDS, Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
@@ -66,34 +67,29 @@ def _get(cp, section: str, key: str, cast=str, default=None):
         raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}: {exc}") from exc
 
 
-def _number(cast=float, minimum=None, maximum=None):
-    """Cast of one finite number, at least minimum and at most maximum when
-    they are given."""
+def _number(cast=float, minimum=None):
+    """Cast of one finite number, at least minimum when it is given."""
     def parse(raw: str):
         value = cast(raw)
         if not -math.inf < value < math.inf:
             raise ValueError("not a finite number")
         if minimum is not None and value < minimum:
             raise ValueError(f"must be at least {minimum}")
-        if maximum is not None and value > maximum:
-            raise ValueError(f"must be at most {maximum}")
         return value
 
     return parse
 
 
-def _list(cast=float, lengths=None, minimum=None, maximum=None, ordered=False):
+def _list(cast=float, lengths=None, minimum=None):
     """Cast of a whitespace- or comma-separated list of finite numbers, each
-    within [minimum, maximum] where given: as many as one of lengths (one or
-    more when None), in ascending order if ordered."""
-    number = _number(cast, minimum, maximum)
+    at least minimum where given: as many as one of lengths (one or more when
+    None)."""
+    number = _number(cast, minimum)
 
     def parse(raw: str) -> tuple:
         vals = tuple(number(x) for x in raw.replace(",", " ").split())
         if not vals or lengths and len(vals) not in lengths:
             raise ValueError(f"needs {' or '.join(map(str, lengths or ['one or more']))} values")
-        if ordered and list(vals) != sorted(vals):
-            raise ValueError("values must be in ascending order")
         return vals
 
     return parse
@@ -157,12 +153,10 @@ SETTINGS = (
     ("synth", "delta_e0", "delta_e0", _number(), 0.0),
     ("synth", "snr", "snr", _snr, RunConfig.snr),
     ("synth", "seed", "synth_seed", _number(int, 0), RunConfig.synth_seed),
-    ("cutoff", "percents", "cutoff_percents", _list(minimum=0.0, maximum=100.0),
-     RunConfig.cutoff_percents),
-    ("cutoff", "repeats", "cutoff_repeats", _number(int, 1), RunConfig.cutoff_repeats),
-    ("error", "n_runs", "error_runs", _number(int, 2), RunConfig.error_runs),
-    *(("error", name, name, _list(cast, (2,), MIN_HYPER.get(name), ordered=True),
-       DEFAULT_HYPER_RANGES[name])
+    ("cutoff", "percents", "cutoff_percents", _list(), RunConfig.cutoff_percents),
+    ("cutoff", "repeats", "cutoff_repeats", int, RunConfig.cutoff_repeats),
+    ("error", "n_runs", "error_runs", int, RunConfig.error_runs),
+    *(("error", name, name, _list(cast, (2,)), DEFAULT_HYPER_RANGES[name])
       for name, cast in (("population", int), ("generations", int), ("mutation_rate", float))),
     ("benchmark", "n_paths", "benchmark_n_paths", _list(int, minimum=1),
      RunConfig.benchmark_n_paths),
@@ -232,11 +226,14 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("[synth] parameter lists must match [synth_paths] count")
     per_path = _build("synth", lambda: tuple(map(PathParams, *lists)))
     truth = Chromosome(delta_e0, per_path) if per_path else None
-    error_ranges = {name: values["error"].pop(name) for name in DEFAULT_HYPER_RANGES}
+    cutoff, error = values["cutoff"], values["error"]
+    _build("cutoff", check_cutoff_design, cutoff["cutoff_percents"], cutoff["cutoff_repeats"])
+    error_ranges = _build("error", check_error_design, error["error_runs"],
+                          {name: error.pop(name) for name in DEFAULT_HYPER_RANGES})
     return RunConfig(
         grid=grid, ga=ga, fitness=fitness, gene_bounds=values["genes"],
         synth_paths=synth_paths, truth=truth, error_ranges=error_ranges,
-        **values["run"], **synth, **values["cutoff"], **values["error"], **values["benchmark"],
+        **values["run"], **synth, **cutoff, **error, **values["benchmark"],
     )
 
 
@@ -356,26 +353,11 @@ def benchmark_scaling(
     fixed population."""
     rows = []
     for n in n_paths_list:
-        paths = PathSet(
-            paths=tuple(
-                synth_path(
-                    r_eff=2.0 + 0.1 * i,
-                    degeneracy=6.0,
-                    grid=cfg.grid,
-                    amp_scale=1.0,
-                    label=f"bench_{i}",
-                )
-                for i in range(n)
-            )
-        )
-        truth = Chromosome(
-            delta_e0=0.0,
-            per_path=tuple(PathParams(0.8, 0.003, 0.0) for _ in range(n)),
-        )
+        paths = PathSet(paths=tuple(synth_path(2.0 + 0.1 * i, 6.0, cfg.grid, label=f"bench_{i}")
+                                    for i in range(n)))
+        truth = Chromosome(0.0, tuple(PathParams(0.8, 0.003, 0.0) for _ in range(n)))
         data = synth_generate(paths, truth, cfg.grid, snr=None)
-        ga_cfg = replace(
-            cfg.ga, max_generations=generations + 1, patience=generations + 1
-        )
+        ga_cfg = replace(cfg.ga, max_generations=generations + 1, patience=generations + 1)
         t0 = time.process_time()
         result = run_ga(data, paths, ga_cfg, cfg.fitness, gene_specs(cfg, n))
         elapsed = time.process_time() - t0

@@ -310,8 +310,8 @@ def mutate_metropolis(
 ) -> tuple[np.ndarray, float]:
     """Annealing-gated mutation of the path genes.
 
-    Improving mutants are always kept; worse mutants are kept only when
-    exp(-(f_mut - f_orig)/K) < t with t uniform in [0,1) and K = k_cool, the
+    Improving mutants are always kept; others only by the Metropolis rule,
+    t < exp(-(f_mut - f_orig)/K) with t uniform in [0,1) and K = k_cool, the
     cooling rate.  K <= 0 or non-finite disables thermal acceptance.
     """
     individual = np.asarray(individual).copy()
@@ -324,7 +324,7 @@ def mutate_metropolis(
     if f_mut < f_orig:
         return mutant, f_mut
     t = rng.random()
-    if math.isfinite(k_cool) and k_cool > 0 and math.exp(-(f_mut - f_orig) / k_cool) < t:
+    if math.isfinite(k_cool) and k_cool > 0 and t < math.exp(-(f_mut - f_orig) / k_cool):
         return mutant, f_mut
     return individual, f_orig
 

@@ -370,8 +370,3 @@ def chi_file_lines(k: np.ndarray, chi: np.ndarray, header: str = "") -> list[str
     comment, a '# k chi' line, then one row per point at full precision."""
     lines = [f"# {line}" for line in header.splitlines()] + ["# k chi"]
     return lines + [f"{ki:.17g} {ci:.17g}" for ki, ci in zip(k, chi)]
-
-
-def write_chi_file(path, k: np.ndarray, chi: np.ndarray, header: str = "") -> None:
-    """Write a two-column (k, chi) text file, atomically."""
-    atomic_write(path, "\n".join(chi_file_lines(k, chi, header)) + "\n")

@@ -20,8 +20,8 @@ from exafsga.cli import (
 from exafsga.fitness import FitnessConfig
 from exafsga.ga import GENE_BOUNDS, GAConfig
 from exafsga.model import evaluate_model
-from exafsga.paths import serialize_feff_path, synth_path
-from exafsga.spectra import FTConfig, KGrid, SpectrumError, chi_file_lines
+from exafsga.paths import PathSet, serialize_feff_path, synth_path
+from exafsga.spectra import FTConfig, KGrid, KSpectrum, SpectrumError, chi_file_lines
 
 
 SYNTH_CONFIG = """
@@ -141,10 +141,7 @@ class TestParseConfig:
             ("ga", "population_size", "50%"),
             ("cutoff", "repeats", "few"),
             ("error", "population", "100"),
-            ("error", "population", "50 20"),
             ("error", "population", "20.9 30"),
-            ("error", "population", "0 1"),
-            ("error", "generations", "0 3"),
             ("synth", "snr", "loud"),
             ("benchmark", "n_paths", "5 ten"),
             ("genes", "s02", "-1.0 -0.5 0.005"),
@@ -470,10 +467,6 @@ class TestMainMalformedValues:
     """A malformed value exits 2, naming its section and key, before any fit."""
 
     @pytest.mark.parametrize("mode, section, key, value, reason", [
-        ("cutoff-sweep", "cutoff", "repeats", "0", "must be at least 1"),
-        ("cutoff-sweep", "cutoff", "percents", "-1", "must be at least 0.0"),
-        ("cutoff-sweep", "cutoff", "percents", "5 150", "must be at most 100.0"),
-        ("error-analysis", "error", "n_runs", "1", "must be at least 2"),
         ("synth", "synth", "snr", "0", "must be positive, 'inf' or 'none'"),
         ("benchmark", "benchmark", "n_paths", "0", "must be at least 1"),
         ("benchmark", "benchmark", "n_paths", "", "needs one or more values"),
@@ -515,6 +508,14 @@ class TestMainMalformedValues:
          "sigma2 must be non-negative, got -0.003"),
         ("synth", "s02 = 0.7 0.5\nsigma2 = 0.003\ndelta_r = 0",
          "s02, sigma2, delta_r lists must match in length"),
+        ("cutoff", "repeats = 0", "n_repeat must be at least 1, got 0"),
+        ("cutoff", "percents = -1", "percents must be non-negative and at most 100, got [-1.0]"),
+        ("cutoff", "percents = 5 150",
+         "percents must be non-negative and at most 100, got [5.0, 150.0]"),
+        ("error", "n_runs = 1", "n_runs must be at least 2"),
+        ("error", "population = 50 20", "population range (50, 20) is reversed"),
+        ("error", "population = 0 1", "population range (0, 1) starts below 2"),
+        ("error", "generations = 0 3", "generations range (0, 3) starts below 1"),
     ])
     def test_rejected_value_names_section(self, tmp_path, capsys, monkeypatch, section, setting,
                                           reason):
@@ -523,6 +524,35 @@ class TestMainMalformedValues:
         text = f"[run]\nmode = fit\noutput_dir = {out}\n\n[{section}]\n{setting}\n"
         assert main(["fit", "--config", write_config(tmp_path, text)]) == 2
         assert capsys.readouterr().err == f"config error: [{section}] {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, kwargs", [
+        ("cutoff", "repeats", "0", {"percents": (5.0,), "n_repeat": 0}),
+        ("cutoff", "percents", "-1", {"percents": (-1.0,)}),
+        ("cutoff", "percents", "5 150", {"percents": (5.0, 150.0)}),
+        ("error", "n_runs", "1", {"n_runs": 1}),
+        ("error", "population", "30 20", {"ranges": {"population": (30, 20)}}),
+        ("error", "population", "1 20", {"ranges": {"population": (1, 20)}}),
+        ("error", "generations", "0 3", {"ranges": {"generations": (0, 3)}}),
+        ("error", "mutation_rate", "30 10", {"ranges": {"mutation_rate": (30.0, 10.0)}}),
+    ])
+    def test_ensemble_design_reason_is_the_library_one(self, tmp_path, capsys, monkeypatch,
+                                                       section, key, value, kwargs):
+        # main prints the reason cutoff_sweep or error_analysis gives for the
+        # same value when called directly.
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        mode, call = {"cutoff": ("cutoff-sweep", analysis.cutoff_sweep),
+                      "error": ("error-analysis", analysis.error_analysis)}[section]
+        grid = KGrid(0.5, 12.5, 0.05)
+        paths = PathSet(paths=(synth_path(2.3, 6.0, grid, label="a"),))
+        data = KSpectrum(grid=grid, chi=np.zeros(grid.n_points))
+        with pytest.raises(analysis.AnalysisError) as exc:
+            call(data, paths, GAConfig(), FitnessConfig(ft=FTConfig(k_range=(2.5, 12.0))),
+                 **kwargs)
+        out = tmp_path / "out"
+        text = f"[run]\nmode = {mode}\noutput_dir = {out}\n\n[{section}]\n{key} = {value}\n"
+        assert main([mode, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"config error: [{section}] {exc.value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("mode, section, key, reason", [

@@ -11,7 +11,7 @@ import pytest
 from exafsga import (
     Chromosome, KGrid, PathParams, PathSet, serialize_feff_path, synth_generate, synth_path,
 )
-from exafsga.spectra import write_chi_file
+from exafsga.spectra import atomic_write, chi_file_lines
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
@@ -35,7 +35,8 @@ def write_example_inputs(data_dir) -> None:
                            synth_path(3.1, 12.0, grid, amp_scale=0.7, label="shell2.dat")))
     truth = Chromosome(-0.5, (PathParams(0.7, 0.004, 0.02), PathParams(0.55, 0.006, -0.01)))
     spec = synth_generate(paths, truth, grid, snr=20.0, seed=3)
-    write_chi_file(str(data_dir / "chi.dat"), grid.ks, spec.chi)
+    atomic_write(str(data_dir / "chi.dat"),
+                 "\n".join(chi_file_lines(grid.ks, spec.chi)) + "\n")
     for p in paths:
         (data_dir / p.label).write_text(serialize_feff_path(p))
     (data_dir / "paths.manifest").write_text("".join(f"{p.label}\n" for p in paths))

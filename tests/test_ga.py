@@ -432,16 +432,17 @@ class TestMutateMetropolis:
         assert f == 1.0
         assert not np.array_equal(out, ind)
 
-    def test_equal_fitness_never_accepted(self):
-        # exp(0) = 1 and t < 1, so the thermal criterion never fires
+    def test_equal_fitness_always_kept(self):
+        # exp(0) = 1 > t, so a mutant that scores as its parent does is kept
         rng = np.random.default_rng(1)
         ind = self.codec.random(rng)
         for _ in range(100):
+            scored = []
             out, f = mutate_metropolis(
-                ind, 100.0, 5.0, self.k_cool, rng, lambda g: 5.0, self.codec
+                ind, 100.0, 5.0, self.k_cool, rng, lambda g: scored.append(g) or 5.0, self.codec
             )
             assert f == 5.0
-            assert np.array_equal(out, ind)
+            assert np.array_equal(out, scored[0] if scored else ind)
 
     def test_sigma_zero_identity(self):
         rng = np.random.default_rng(2)
@@ -463,22 +464,22 @@ class TestMutateMetropolis:
             assert np.array_equal(out, ind)
             assert f == 5.0
 
-    def test_worse_acceptance_probability(self):
-        # K chosen so exp(-df/K) = 0.7: acceptance probability 1 - 0.7 = 0.3
-        df = 1.0
-        k_target = -df / np.log(0.7)
-        i, i_max = 50, 100
-        delta_f = k_target * -np.log(1 - i / i_max)
-        k_cool = cooling_rate(delta_f, i, i_max)
+    @pytest.mark.parametrize("df", [0.1, 1.0, 5.0])
+    def test_worse_acceptance_probability(self, df):
+        # The Metropolis rule keeps a mutant worse by df with probability
+        # exp(-df/K): at K = 1, 0.905, 0.368 and 0.007 for df = 0.1, 1 and 5.
+        p = math.exp(-df)
         rng = np.random.default_rng(4)
         ind = self.codec.random(rng)
-        n, accepted = 4000, 0
-        for _ in range(n):
-            out, f = mutate_metropolis(
-                ind, 100.0, 5.0, k_cool, rng, lambda g: 5.0 + df, self.codec
+        scored, kept = [], 0
+        for _ in range(4000):
+            _, f = mutate_metropolis(
+                ind, 100.0, 5.0, 1.0, rng, lambda g: scored.append(g) or 5.0 + df, self.codec
             )
-            accepted += f != 5.0
-        assert abs(accepted / n - 0.3) < 0.03
+            kept += f != 5.0
+        n = len(scored)
+        assert n > 3900
+        assert abs(kept / n - p) < 5 * math.sqrt(p * (1 - p) / n)
 
     def test_mutant_equal_to_its_parent_is_not_scored(self):
         # Two levels per path gene: one proposal in eight redraws all three

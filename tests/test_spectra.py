@@ -15,13 +15,13 @@ from exafsga.spectra import (
     atomic_write,
     check_k_range,
     check_r_range,
+    chi_file_lines,
     k_to_r_map,
     load_data,
     read_chi_file,
     resample_onto,
     transform_k_to_r,
     window_weights,
-    write_chi_file,
 )
 
 
@@ -96,7 +96,7 @@ class TestKGrid:
         # A grid whose span is not a whole number of steps stops short of
         # k_max, so data that ends at k_max is interpolated, not clamped.
         k = np.linspace(0.5, 12.5, 12001)
-        write_chi_file(tmp_path / "sin.dat", k, np.sin(k))
+        atomic_write(tmp_path / "sin.dat", "\n".join(chi_file_lines(k, np.sin(k))) + "\n")
         grid = KGrid(0.5, 12.5, 0.0702)
         data = load_data(tmp_path / "sin.dat", grid)
         np.testing.assert_allclose(data.chi, np.sin(grid.ks), rtol=0, atol=1e-6)
@@ -401,14 +401,14 @@ class TestFileIO:
         rng = np.random.default_rng(5)
         chi = rng.normal(size=grid.n_points)
         p = tmp_path / "chi.dat"
-        write_chi_file(p, grid.ks, chi, header="test spectrum")
+        atomic_write(p, "\n".join(chi_file_lines(grid.ks, chi, "test spectrum")) + "\n")
         k2, chi2 = read_chi_file(p)
         assert np.allclose(k2, grid.ks)
         assert np.allclose(chi2, chi)
 
     def test_written_file_has_mode_0600(self, tmp_path, grid):
         p = tmp_path / "chi.dat"
-        write_chi_file(p, grid.ks, np.zeros(grid.n_points))
+        atomic_write(p, "\n".join(chi_file_lines(grid.ks, np.zeros(grid.n_points))) + "\n")
         assert p.stat().st_mode & 0o777 == 0o600
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
