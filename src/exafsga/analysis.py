@@ -241,14 +241,16 @@ def error_analysis(
     ga_config.rng_seed is never read, as each run's seed replaces it.  The
     rate is clamped to ga_config.mutation_rate_bounds, and the manifest
     records the clamped rate the run used.  Gene specs that check_gene_specs
-    rejects raise its GAError before the first run; a run that fails with a
-    model or GA error is recorded in the manifest and counted in n_failed;
-    any other exception, such as a bad fit range's FitnessError, propagates.
+    rejects for the paths on data.grid, bounds the model cannot evaluate at
+    an end of delta_e0's levels included, raise its GAError before the first
+    run; a run that fails with a model or GA error is recorded in the
+    manifest and counted in n_failed; any other exception, such as a bad fit
+    range's FitnessError, propagates.
     """
     ranges = check_error_design(n_runs, ranges)
     if gene_specs is None:
         gene_specs = default_gene_specs(len(paths))
-    check_gene_specs(gene_specs, len(paths))
+    check_gene_specs(gene_specs, paths, data.grid)
     names = tuple(s.name for s in gene_specs)
 
     lo, hi = ga_config.mutation_rate_bounds

@@ -23,7 +23,9 @@ from .analysis import (
     error_analysis, synth_generate,
 )
 from .fitness import FitnessConfig
-from .ga import GENE_BOUNDS, Chromosome, GAConfig, GeneSpec, default_gene_specs, run_ga
+from .ga import (
+    GENE_BOUNDS, Chromosome, GAConfig, GeneSpec, check_gene_specs, default_gene_specs, run_ga,
+)
 from .model import NON_NEGATIVE, PATH_GENES, PathParams, evaluate_model
 from .paths import PathParseError, PathSet, load_manifest, synth_path
 from .spectra import (
@@ -257,11 +259,14 @@ def gene_specs(cfg: RunConfig, n_paths: int) -> list[GeneSpec]:
 
 
 def load_inputs(cfg: RunConfig) -> tuple[PathSet, KSpectrum, list[GeneSpec]]:
-    """Paths, data on the run grid and gene specs of a fitting mode."""
+    """Paths, data on the run grid and gene specs of a fitting mode; gene
+    specs that check_gene_specs rejects are a ConfigError under [genes]."""
     paths = build_paths(cfg)
     if not cfg.data_file:
         raise ConfigError(f"{cfg.mode} mode requires data_file")
-    return paths, load_data(cfg.data_file, cfg.grid), gene_specs(cfg, len(paths))
+    specs = gene_specs(cfg, len(paths))
+    _build("genes", check_gene_specs, specs, paths, cfg.grid)
+    return paths, load_data(cfg.data_file, cfg.grid), specs
 
 
 def _csv(header: str, rows) -> list[str]:

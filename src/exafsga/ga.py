@@ -16,9 +16,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .fitness import FitnessConfig, SpectrumObjective
-from .model import NON_NEGATIVE, PATH_GENES, PathParams
+from .model import NON_NEGATIVE, PATH_GENES, ModelError, ModelEvaluator, PathParams
 from .paths import PathSet
-from .spectra import KSpectrum
+from .spectra import KGrid, KSpectrum
 
 
 class GAError(ValueError):
@@ -143,15 +143,31 @@ def default_gene_specs(
             *(GeneSpec(f"{name}_{i}", *b) for i in range(n_paths) for name, b in per_path)]
 
 
-def check_gene_specs(gene_specs, n_paths: int) -> None:
+def check_gene_specs(gene_specs, paths: PathSet, grid: KGrid) -> None:
     """GAError unless gene_specs hold the layout [delta_e0, PATH_GENES of each
-    path] for n_paths paths and no NON_NEGATIVE gene admits a negative value."""
+    path] for the paths, no NON_NEGATIVE gene admits a negative value, and
+    the paths' model on grid evaluates (ModelEvaluator.evaluate_paths) at
+    delta_e0's first and last levels, lower and lower + (n_levels - 1)*step,
+    with every other gene at its lower bound; its ModelError there, such as a
+    shifted k outside a path's theory range or r_eff + delta_r <= 0, becomes
+    a GAError naming that level.  Only those two ends are evaluated: a path
+    whose k_theory starts above 0 can still fail at an interior delta_e0."""
+    n_paths = len(paths)
     if len(gene_specs) != len(PATH_GENES) * n_paths + 1:
         raise GAError(f"gene specs ({len(gene_specs)}) do not match "
                       f"{len(PATH_GENES)}*{n_paths} + 1 genes")
     for spec, kind in zip(gene_specs[1:], PATH_GENES * n_paths):
         if kind in NON_NEGATIVE and spec.lower < 0:
             raise GAError(f"{spec.name}: lower bound {spec.lower} admits a negative {kind}")
+    e0 = gene_specs[0]
+    evaluator = ModelEvaluator(paths, grid)
+    for level in (0, e0.n_levels - 1):
+        genes = np.array([e0.lower + level * e0.step, *(s.lower for s in gene_specs[1:])])
+        try:
+            evaluator.evaluate_paths(genes)
+        except ModelError as exc:
+            raise GAError(f"{e0.name} = {genes[0]} (level {level}), every other gene at its "
+                          f"lower bound: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -508,10 +524,12 @@ def run_ga(
 ) -> FitResult:
     """Fit the paths' parameters to the data: evolve the gene layout
     [delta_e0, (s02, sigma2, delta_r) per path] against the spectrum
-    objective, and report the best chromosome's fit metrics."""
+    objective, and report the best chromosome's fit metrics.  Gene specs
+    that check_gene_specs(gene_specs, paths, data.grid) rejects raise its
+    GAError before evolve starts."""
     if gene_specs is None:
         gene_specs = default_gene_specs(len(paths))
-    check_gene_specs(gene_specs, len(paths))
+    check_gene_specs(gene_specs, paths, data.grid)
     objective = SpectrumObjective(data, paths, fitness_config)
     genes, fitness, history, exit_reason = evolve(
         objective.evaluate_genes, gene_specs, ga_config

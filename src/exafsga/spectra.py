@@ -13,7 +13,7 @@ import bisect
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -38,13 +38,14 @@ MAX_GRID_POINTS = 4096
 
 @dataclass(frozen=True)
 class KGrid:
-    """Uniform wavenumber grid k_min + i*delta_k, i in [0, n_points), of the
-    whole steps from k_min that do not pass k_max (within 1e-9 of a step),
-    at most MAX_GRID_POINTS (4096) of them."""
+    """Uniform wavenumber grid k_min + i*delta_k, i in [0, n_points): the 2
+    to MAX_GRID_POINTS (4096) whole steps from k_min that do not pass the
+    k_max given (within 1e-9 of a step).  k_max is then reset to ks[-1]."""
 
     k_min: float
     k_max: float
     delta_k: float
+    n_points: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.k_min, self.k_max, self.delta_k))):
@@ -57,14 +58,13 @@ class KGrid:
             raise SpectrumError("delta_k must be positive")
         if not math.isfinite((self.k_max - self.k_min) / self.delta_k):
             raise SpectrumError("(k_max - k_min) / delta_k overflows")
-        if self.n_points > MAX_GRID_POINTS:
-            raise SpectrumError(
-                f"grid has {self.n_points} points, more than {MAX_GRID_POINTS}"
-            )
-
-    @property
-    def n_points(self) -> int:
-        return int(math.floor((self.k_max - self.k_min) / self.delta_k + 1e-9)) + 1
+        n = int(math.floor((self.k_max - self.k_min) / self.delta_k + 1e-9)) + 1
+        if n > MAX_GRID_POINTS:
+            raise SpectrumError(f"grid has {n} points, more than {MAX_GRID_POINTS}")
+        if n < 2:
+            raise SpectrumError("grid has 1 point, fewer than 2: k_max - k_min < delta_k")
+        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "k_max", self.k_min + self.delta_k * (n - 1))
 
     @cached_property
     def ks(self) -> np.ndarray:
@@ -298,14 +298,16 @@ def transform_k_to_r(spec: KSpectrum, config: FTConfig) -> RSpectrum:
 
 
 def resample_onto(spec: KSpectrum, grid: KGrid) -> KSpectrum:
-    """Linear interpolation of chi onto a new uniform grid (no extrapolation)."""
-    src = spec.grid
-    if grid.k_min < src.k_min - 1e-9 or grid.k_max > src.k_max + 1e-9:
-        raise SpectrumError(
-            f"target grid [{grid.k_min}, {grid.k_max}] extends beyond "
-            f"source range [{src.k_min}, {src.k_max}]"
-        )
-    return KSpectrum(grid=grid, chi=np.interp(grid.ks, src.ks, spec.chi))
+    """chi of spec linearly interpolated onto grid, which spec's grid must cover."""
+    return _interp_onto("source spectrum", spec.grid.ks, spec.chi, grid)
+
+
+def _interp_onto(source, k: np.ndarray, chi: np.ndarray, grid: KGrid) -> KSpectrum:
+    """chi(k) linearly interpolated onto grid, for load_data and resample_onto: a
+    SpectrumError naming source unless k (ascending) covers grid within 1e-9."""
+    if grid.k_min < k[0] - 1e-9 or grid.k_max > k[-1] + 1e-9:
+        raise SpectrumError(f"{source}: run grid extends beyond data range [{k[0]}, {k[-1]}]")
+    return KSpectrum(grid=grid, chi=np.interp(grid.ks, k, chi))
 
 
 def read_chi_file(path) -> tuple[np.ndarray, np.ndarray]:
@@ -345,10 +347,7 @@ def load_data(path, grid: KGrid) -> KSpectrum:
     """Read a two-column (k, chi) file and interpolate it linearly onto grid.
 
     The file's k need not be uniform, but must cover the grid."""
-    k, chi = read_chi_file(path)
-    if grid.k_min < k[0] - 1e-9 or grid.k_max > k[-1] + 1e-9:
-        raise SpectrumError(f"{path}: run grid extends beyond data range [{k[0]}, {k[-1]}]")
-    return KSpectrum(grid=grid, chi=np.interp(grid.ks, k, chi))
+    return _interp_onto(path, *read_chi_file(path), grid)
 
 
 def atomic_write(path, text: str) -> None:

@@ -16,6 +16,7 @@ from exafsga.ga import Chromosome, GAConfig, GAError, GeneSpec, default_gene_spe
 from exafsga.model import ModelError, PathParams, evaluate_model
 from exafsga.paths import PathSet, synth_path
 from exafsga.spectra import FTConfig, KGrid, check_k_range
+from test_ga import unhonoured_bounds
 
 
 GRID = KGrid(0.5, 13.0, 0.05)
@@ -286,6 +287,18 @@ class TestErrorAnalysis:
         monkeypatch.setattr(analysis, "run_ga", no_fit)
         with pytest.raises(GAError, match=message):
             error_analysis(data, paths, ga, fitness, n_runs=2, gene_specs=specs)
+
+    @pytest.mark.parametrize("case", ["short", "delta_r", "late"])
+    def test_bounds_the_paths_cannot_honour_raise_before_any_member(self, monkeypatch, case):
+        paths, data, specs = unhonoured_bounds(case)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        with pytest.raises(GAError, match=r"^delta_e0 = .* every other gene at its lower bound: "
+                                          rf"path {paths.labels()[0]}: "):
+            error_analysis(data, paths, GAConfig(), FITNESS, n_runs=2, gene_specs=specs)
 
     def test_unknown_range_key_raises_before_any_member(self, monkeypatch):
         paths, truth, data, fitness, ga = small_problem()

@@ -611,6 +611,37 @@ class TestMainMalformedValues:
         assert capsys.readouterr().err == f"config error: [synth_paths] 'a': {reason}\n"
 
 
+class TestMainGeneBounds:
+    """[genes] bounds the paths cannot honour exit 2 before any fit."""
+
+    @pytest.mark.parametrize("mode", ["fit", "cutoff-sweep", "error-analysis"])
+    @pytest.mark.parametrize("case, reason", [
+        ("short", "delta_e0 = -10.0 (level 0), every other gene at its lower bound: path "
+                  "short.dat: shifted k in [1.695, 12.605] outside theory range [0.000, 12.550]"),
+        ("delta_r", "delta_e0 = -10.0 (level 0), every other gene at its lower bound: path "
+                    "shell1: r_eff + delta_r = -0.7000000000000002 must be positive"),
+    ])
+    def test_exit_2_naming_the_level(self, tmp_path, capsys, monkeypatch, mode, case, reason):
+        data = run_synth(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        out = tmp_path / "out"
+        if case == "short":
+            grid = KGrid(0.5, 12.5, 0.05)
+            path = synth_path(2.3, 6, grid, label="short.dat", k_pad=0.05)
+            (tmp_path / "short.dat").write_text(serialize_feff_path(path))
+            (tmp_path / "paths.manifest").write_text("short.dat\n")
+            paths = f"path_manifest = {tmp_path / 'paths.manifest'}\n"
+        else:
+            paths = "[synth_paths]\nshell1 = 2.3 6 1.0\n[genes]\ndelta_r = -3 0.2 0.01\n"
+        text = (f"[run]\nmode = {mode}\noutput_dir = {out}\ndata_file = {data}\n{paths}"
+                "[ga]\npopulation_size = 20\nmax_generations = 3\n")
+        assert main([mode, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"config error: [genes] {reason}\n"
+        assert not out.exists()
+
+
 class TestMainInputErrors:
     """A malformed chi(k) or path file exits 2 naming the file and line."""
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from exafsga.ga import (
     select,
 )
 from exafsga.model import ModelError, PathParams
-from exafsga.paths import PathSet, synth_path
-from exafsga.spectra import FTConfig, KGrid
+from exafsga.paths import PathSet, ScatteringPath, synth_path
+from exafsga.spectra import FTConfig, KGrid, KSpectrum
 
 
 SPECS = default_gene_specs(2)
@@ -559,6 +560,27 @@ class TestRechenberg:
         assert rechenberg_update(1.05, 0.0, self.CFG) == 1.0
 
 
+def unhonoured_bounds(case):
+    """(paths, data, gene specs) on the 0.5-12.5/0.05 grid whose model fails
+    at an end of delta_e0's levels: "short", a theory range that ends at
+    12.55 under the default bounds; "delta_r", a delta_r lower bound of -3
+    for r_eff 2.3; "late", a theory range from 0.45 under delta_e0 0-5."""
+    grid = KGrid(0.5, 12.5, 0.05)
+    specs = default_gene_specs(1)
+    if case == "short":
+        path = synth_path(2.3, 6, grid, label="short.dat", k_pad=0.05)
+    elif case == "delta_r":
+        path = synth_path(2.3, 6, grid, label="shell1")
+        specs = default_gene_specs(1, delta_r_bounds=(-3.0, 0.2, 0.01))
+    else:
+        k = np.arange(0.45, 14.5, 0.05)
+        path = ScatteringPath(label="late", degeneracy=6, r_eff=2.3, k_theory=k,
+                              f_eff=k * np.exp(-k**2 / 100), phase_scatter=-0.3 * k,
+                              phase_central=np.zeros_like(k), lam=np.full_like(k, 10.0))
+        specs = default_gene_specs(1, e0_bounds=(0.0, 5.0, 0.01))
+    return PathSet(paths=(path,)), KSpectrum(grid=grid, chi=np.zeros(grid.n_points)), specs
+
+
 class FitFixture:
     def __init__(self, seed=0, n_paths=3, snr=None):
         from exafsga.analysis import synth_generate
@@ -609,6 +631,26 @@ class TestRunGA:
         monkeypatch.setattr(ga, "SpectrumObjective", never_built)
         with pytest.raises(GAError, match=rf"{gene}: lower bound -1.0 admits a negative"):
             run_ga(fx.data, fx.paths, GAConfig(), fx.fitness, specs)
+
+    @pytest.mark.parametrize("case, message", [
+        ("short", "delta_e0 = -10.0 (level 0), every other gene at its lower bound: path "
+                  "short.dat: shifted k in [1.695, 12.605] outside theory range [0.000, 12.550]"),
+        ("delta_r", "delta_e0 = -10.0 (level 0), every other gene at its lower bound: path "
+                    "shell1: r_eff + delta_r = -0.7000000000000002 must be positive"),
+        ("late", "delta_e0 = 5.0 (level 500), every other gene at its lower bound: path "
+                 "late: shifted k in [0.101, 12.447] outside theory range [0.450, 14.450]"),
+    ])
+    def test_bounds_the_paths_cannot_honour_rejected_before_evolve(self, monkeypatch, case,
+                                                                   message):
+        paths, data, specs = unhonoured_bounds(case)
+
+        def never_called(*args):
+            raise AssertionError("evolve ran")
+
+        monkeypatch.setattr(ga, "evolve", never_called)
+        with pytest.raises(GAError, match=f"^{re.escape(message)}$"):
+            run_ga(data, paths, GAConfig(), FitnessConfig(ft=FTConfig(k_range=(2.5, 12.0))),
+                   specs)
 
     def test_stagnation_exit(self):
         cfg = GAConfig(

@@ -16,6 +16,7 @@ from exafsga.spectra import (
     check_k_range,
     check_r_range,
     chi_file_lines,
+    in_k_range,
     k_to_r_map,
     load_data,
     read_chi_file,
@@ -91,10 +92,32 @@ class TestKGrid:
         g = KGrid(k_min, k_max, delta_k)
         assert g.n_points == n
         assert g.ks[-1] <= k_max + 1e-9 * delta_k
+        assert g.k_max == g.ks[-1]
+        again = KGrid(k_min, g.k_max, delta_k)
+        assert again == g and again.n_points == n and hash(again) == hash(g)
+
+    def test_a_span_off_the_steps_ends_at_its_last_point(self):
+        g = KGrid(0.5, 12.5, 0.0702)
+        assert g.k_max == g.ks[-1] == 12.434
+        assert g == KGrid(0.5, 12.434, 0.0702)
+
+    @pytest.mark.parametrize("k_max", [0.54, 0.5 + 0.05 * (1 - 2e-9)])
+    def test_one_point_grid_rejected(self, k_max):
+        with pytest.raises(SpectrumError,
+                           match=r"^grid has 1 point, fewer than 2: k_max - k_min < delta_k$"):
+            KGrid(0.5, k_max, 0.05)
+
+    def test_data_ending_between_the_last_point_and_the_k_max_given(self, tmp_path):
+        # The grid's last point is 12.434: data that ends at 12.44 covers it.
+        k = np.linspace(0.5, 12.44, 11941)
+        atomic_write(tmp_path / "sin.dat", "\n".join(chi_file_lines(k, np.sin(k))) + "\n")
+        grid = KGrid(0.5, 12.5, 0.0702)
+        data = load_data(tmp_path / "sin.dat", grid)
+        np.testing.assert_allclose(data.chi, np.sin(grid.ks), rtol=0, atol=1e-6)
 
     def test_data_ending_at_k_max_covers_the_grid(self, tmp_path):
-        # A grid whose span is not a whole number of steps stops short of
-        # k_max, so data that ends at k_max is interpolated, not clamped.
+        # A grid whose span is not a whole number of steps stops short of the
+        # k_max given, so data that ends there is interpolated, not clamped.
         k = np.linspace(0.5, 12.5, 12001)
         atomic_write(tmp_path / "sin.dat", "\n".join(chi_file_lines(k, np.sin(k))) + "\n")
         grid = KGrid(0.5, 12.5, 0.0702)
@@ -206,6 +229,26 @@ class TestCheckKRange:
         assert k_to_r_map(grid, cfg).columns == check_k_range(cfg, grid) == slice(40, 241)
         unit = KSpectrum(grid=grid, chi=np.eye(grid.n_points)[240])
         assert np.any(transform_k_to_r(unit, cfg).chi_r != 0)
+        # On a grid whose span is not a whole number of steps, every range the
+        # map accepts transforms no point n*delta_k more than 1e-9 past ks[-1].
+        grid = KGrid(0.5, 12.5, 0.0702)
+        kk = grid.delta_k * np.arange(FTConfig.n_fft)
+        accepted = []
+        for hi in (grid.ks[-1], 12.5):
+            cfg = FTConfig(k_range=(2.5, float(hi)), window_sill=0.0)
+            try:
+                k_to_r_map(grid, cfg)
+            except TransformConfigError:
+                continue
+            accepted.append(hi)
+            assert kk[in_k_range(kk, cfg)].max() <= grid.ks[-1] + 1e-9
+        assert accepted == [grid.ks[-1]]
+
+    def test_range_past_the_last_point_rejected(self):
+        grid = KGrid(0.5, 12.5, 0.0702)
+        with pytest.raises(TransformConfigError, match=r"^k_range \[2\.5, 12\.5\] extends beyond "
+                                                       r"the grid \[0\.5, 12\.434\]$"):
+            check_k_range(FTConfig(k_range=(2.5, 12.5)), grid)
 
     def test_is_the_check_of_the_transform(self, grid):
         spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
@@ -374,6 +417,13 @@ class TestResample:
         once = resample_onto(spec, fine)
         twice = resample_onto(once, fine)
         assert np.array_equal(once.chi, twice.chi)
+
+    def test_target_past_the_source_last_point_rejected(self):
+        src = KGrid(0.5, 12.5, 0.0702)
+        spec = KSpectrum(grid=src, chi=np.sin(src.ks))
+        with pytest.raises(SpectrumError, match=r"^source spectrum: run grid extends beyond "
+                                                r"data range \[0\.5, 12\.434\]$"):
+            resample_onto(spec, KGrid(0.5, 12.5, 0.05))
 
     def test_extrapolation_rejected(self, grid):
         spec = KSpectrum(grid=grid, chi=np.zeros(grid.n_points))
