@@ -242,7 +242,7 @@ def error_analysis(
     rate is clamped to ga_config.mutation_rate_bounds, and the manifest
     records the clamped rate the run used.  Gene specs that check_gene_specs
     rejects for the paths on data.grid, bounds the model cannot evaluate at
-    an end of delta_e0's levels included, raise its GAError before the first
+    some level of delta_e0 included, raise its GAError before the first
     run; a run that fails with a model or GA error is recorded in the
     manifest and counted in n_failed; any other exception, such as a bad fit
     range's FitnessError, propagates.

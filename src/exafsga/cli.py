@@ -258,14 +258,20 @@ def gene_specs(cfg: RunConfig, n_paths: int) -> list[GeneSpec]:
     return default_gene_specs(n_paths, *(cfg.gene_bounds[name] for name in GENE_BOUNDS))
 
 
+def checked_gene_specs(cfg: RunConfig, paths: PathSet) -> list[GeneSpec]:
+    """The paths' gene specs under [genes]; specs that check_gene_specs
+    rejects on the run grid are a ConfigError under [genes]."""
+    specs = gene_specs(cfg, len(paths))
+    _build("genes", check_gene_specs, specs, paths, cfg.grid)
+    return specs
+
+
 def load_inputs(cfg: RunConfig) -> tuple[PathSet, KSpectrum, list[GeneSpec]]:
-    """Paths, data on the run grid and gene specs of a fitting mode; gene
-    specs that check_gene_specs rejects are a ConfigError under [genes]."""
+    """Paths, data on the run grid and checked_gene_specs of a fitting mode."""
     paths = build_paths(cfg)
     if not cfg.data_file:
         raise ConfigError(f"{cfg.mode} mode requires data_file")
-    specs = gene_specs(cfg, len(paths))
-    _build("genes", check_gene_specs, specs, paths, cfg.grid)
+    specs = checked_gene_specs(cfg, paths)
     return paths, load_data(cfg.data_file, cfg.grid), specs
 
 
@@ -355,16 +361,18 @@ def benchmark_scaling(
     cfg: RunConfig, n_paths_list, generations: int = 5
 ) -> list[tuple[int, float]]:
     """CPU seconds per generation of this process as a function of path count,
-    fixed population."""
+    fixed population.  Each path set's checked_gene_specs are built before its
+    fit is timed; every set holds bench_0, so bad [genes] fail the first."""
     rows = []
     for n in n_paths_list:
         paths = PathSet(paths=tuple(synth_path(2.0 + 0.1 * i, 6.0, cfg.grid, label=f"bench_{i}")
                                     for i in range(n)))
+        specs = checked_gene_specs(cfg, paths)
         truth = Chromosome(0.0, tuple(PathParams(0.8, 0.003, 0.0) for _ in range(n)))
         data = synth_generate(paths, truth, cfg.grid, snr=None)
         ga_cfg = replace(cfg.ga, max_generations=generations + 1, patience=generations + 1)
         t0 = time.process_time()
-        result = run_ga(data, paths, ga_cfg, cfg.fitness, gene_specs(cfg, n))
+        result = run_ga(data, paths, ga_cfg, cfg.fitness, specs)
         elapsed = time.process_time() - t0
         rows.append((n, elapsed / result.n_generations))
     return rows

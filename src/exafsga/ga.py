@@ -16,9 +16,11 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .fitness import FitnessConfig, SpectrumObjective
-from .model import NON_NEGATIVE, PATH_GENES, ModelError, ModelEvaluator, PathParams
+from .model import (
+    NON_NEGATIVE, PATH_GENES, ModelError, ModelEvaluator, PathParams, shifted_k_squared,
+)
 from .paths import PathSet
-from .spectra import KGrid, KSpectrum
+from .spectra import EV_TO_KSQ, KGrid, KSpectrum
 
 
 class GAError(ValueError):
@@ -146,12 +148,12 @@ def default_gene_specs(
 def check_gene_specs(gene_specs, paths: PathSet, grid: KGrid) -> None:
     """GAError unless gene_specs hold the layout [delta_e0, PATH_GENES of each
     path] for the paths, no NON_NEGATIVE gene admits a negative value, and
-    the paths' model on grid evaluates (ModelEvaluator.evaluate_paths) at
-    delta_e0's first and last levels, lower and lower + (n_levels - 1)*step,
-    with every other gene at its lower bound; its ModelError there, such as a
-    shifted k outside a path's theory range or r_eff + delta_r <= 0, becomes
-    a GAError naming that level.  Only those two ends are evaluated: a path
-    whose k_theory starts above 0 can still fail at an interior delta_e0."""
+    the paths' model on grid evaluates (ModelEvaluator.evaluate_paths) with
+    every other gene at its lower bound at three levels of delta_e0: the
+    first, which holds the largest shifted k, the last, and the one whose
+    first valid point has the least shifted k.  r_eff + delta_r does not
+    depend on delta_e0, so a model that fails at any level fails at one of
+    these; its ModelError there becomes a GAError naming that level."""
     n_paths = len(paths)
     if len(gene_specs) != len(PATH_GENES) * n_paths + 1:
         raise GAError(f"gene specs ({len(gene_specs)}) do not match "
@@ -159,9 +161,18 @@ def check_gene_specs(gene_specs, paths: PathSet, grid: KGrid) -> None:
     for spec, kind in zip(gene_specs[1:], PATH_GENES * n_paths):
         if kind in NON_NEGATIVE and spec.lower < 0:
             raise GAError(f"{spec.name}: lower bound {spec.lower} admits a negative {kind}")
-    e0 = gene_specs[0]
+    e0, ks = gene_specs[0], grid.ks[:, None]
+    top = e0.n_levels - 1
+    # Per grid point, the last level that leaves it valid is among a floor
+    # estimate's neighbours, tested as shift_k tests them; the least valid
+    # k'^2 over all of them is at the level with the least first valid k'.
+    with np.errstate(over="ignore"):  # an estimate far past the top may overflow
+        est = np.clip(np.floor((ks**2 / EV_TO_KSQ - e0.lower) / e0.step), -3, top + 3)
+    levels = np.clip(est.astype(np.int64) + np.arange(-2, 3), 0, top)
+    k2 = shifted_k_squared(ks, e0.lower + levels * e0.step)
+    least = int(levels.flat[np.argmin(np.where(k2 > 0, k2, np.inf))])
     evaluator = ModelEvaluator(paths, grid)
-    for level in (0, e0.n_levels - 1):
+    for level in (0, top, least):
         genes = np.array([e0.lower + level * e0.step, *(s.lower for s in gene_specs[1:])])
         try:
             evaluator.evaluate_paths(genes)
@@ -525,8 +536,8 @@ def run_ga(
     """Fit the paths' parameters to the data: evolve the gene layout
     [delta_e0, (s02, sigma2, delta_r) per path] against the spectrum
     objective, and report the best chromosome's fit metrics.  Gene specs
-    that check_gene_specs(gene_specs, paths, data.grid) rejects raise its
-    GAError before evolve starts."""
+    that check_gene_specs(gene_specs, paths, data.grid) rejects, as where the
+    model fails at some level of delta_e0, raise its GAError before evolve."""
     if gene_specs is None:
         gene_specs = default_gene_specs(len(paths))
     check_gene_specs(gene_specs, paths, data.grid)

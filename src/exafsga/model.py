@@ -50,9 +50,14 @@ def shift_k(grid: KGrid, delta_e0: float) -> tuple[np.ndarray, np.ndarray]:
     the first valid point holds the smallest valid k' and the last point the
     largest.
     """
-    radicand = grid.ks**2 - EV_TO_KSQ * delta_e0
+    radicand = shifted_k_squared(grid.ks, delta_e0)
     valid = radicand > 0
     return np.sqrt(np.maximum(radicand, 0.0)), valid
+
+
+def shifted_k_squared(k, delta_e0):
+    """k^2 - c*delta_e0, elementwise: shift_k's k'^2, valid where positive."""
+    return k**2 - EV_TO_KSQ * delta_e0
 
 
 def path_contribution(

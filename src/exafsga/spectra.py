@@ -161,9 +161,9 @@ def window_weights(k: np.ndarray, config: FTConfig) -> np.ndarray:
 
 def check_k_range(config: FTConfig, grid: KGrid) -> slice:
     """The slice of grid points in config.k_range; TransformConfigError unless
-    that range lies on grid (within 1e-9) and holds 1 to config.n_fft points.
-    A point within 1e-9 of an end counts as inside (in_k_range), so an end
-    written as a grid point's decimal holds that point whichever way it rounds."""
+    that range lies on grid (within 1e-9), holds a point and ends over 1e-9 below
+    n_fft*delta_k, the first k the transform does not sample.  A point within 1e-9
+    of an end is inside (in_k_range), so an end at a point's decimal holds it."""
     lo, hi = config.k_range
     if lo < grid.k_min - 1e-9 or hi > grid.k_max + 1e-9:
         raise TransformConfigError(
@@ -172,11 +172,11 @@ def check_k_range(config: FTConfig, grid: KGrid) -> slice:
     inside = np.flatnonzero(in_k_range(grid.ks, config))
     if not inside.size:
         raise TransformConfigError(f"k_range [{lo}, {hi}] contains no grid samples")
-    start, stop = int(inside[0]), int(inside[-1]) + 1
-    if config.n_fft < stop - start:
-        raise TransformConfigError(f"n_fft={config.n_fft} smaller than {stop - start} "
-                                   "in-range samples")
-    return slice(start, stop)
+    if config.n_fft * grid.delta_k <= hi + 1e-9:
+        last = (config.n_fft - 1) * grid.delta_k
+        raise TransformConfigError(f"n_fft={config.n_fft}: the transform samples k = n*delta_k, "
+                                   f"0 <= n < n_fft, up to {last:.6g}, short of k_range's end {hi}")
+    return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
 def check_r_range(config: FTConfig, grid: KGrid) -> slice:

@@ -288,7 +288,7 @@ class TestErrorAnalysis:
         with pytest.raises(GAError, match=message):
             error_analysis(data, paths, ga, fitness, n_runs=2, gene_specs=specs)
 
-    @pytest.mark.parametrize("case", ["short", "delta_r", "late"])
+    @pytest.mark.parametrize("case", ["short", "delta_r", "late", "interior"])
     def test_bounds_the_paths_cannot_honour_raise_before_any_member(self, monkeypatch, case):
         paths, data, specs = unhonoured_bounds(case)
 

@@ -22,6 +22,7 @@ from exafsga.ga import GENE_BOUNDS, GAConfig
 from exafsga.model import evaluate_model
 from exafsga.paths import PathSet, serialize_feff_path, synth_path
 from exafsga.spectra import FTConfig, KGrid, KSpectrum, SpectrumError, chi_file_lines
+from test_ga import unhonoured_bounds
 
 
 SYNTH_CONFIG = """
@@ -574,7 +575,8 @@ class TestMainMalformedValues:
     @pytest.mark.parametrize("ft, reason", [
         ("window_sill = 0\nk_min_fit = 2.501\nk_max_fit = 2.509",
          "k_range [2.501, 2.509] contains no grid samples"),
-        ("n_fft = 128", "n_fft=128 smaller than 191 in-range samples"),
+        ("n_fft = 128", "n_fft=128: the transform samples k = n*delta_k, 0 <= n < n_fft, "
+                        "up to 6.35, short of k_range's end 12.0"),
     ])
     def test_fit_range_that_cannot_fit(self, tmp_path, capsys, monkeypatch, mode, ft, reason):
         monkeypatch.setattr(cli, "run_ga", no_fit)
@@ -584,6 +586,22 @@ class TestMainMalformedValues:
         text = text.replace("k_min_fit = 2.5\nk_max_fit = 12.0", ft)
         assert main([mode, "--config", write_config(tmp_path, text)]) == 2
         assert capsys.readouterr().err == f"config error: [ft] {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["fit", "cutoff-sweep", "error-analysis"])
+    def test_fit_range_past_the_last_sample(self, tmp_path, capsys, monkeypatch, mode):
+        # On a 0.005 grid the default 2048 samples end at 10.235, short of 12.0.
+        data = run_synth(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        monkeypatch.setattr(analysis, "run_ga", no_fit)
+        out = tmp_path / "out"
+        text = FIT_CONFIG.format(out=out, data=data).replace("mode = fit", f"mode = {mode}")
+        text = text.replace("delta_k = 0.05", "delta_k = 0.005") + "\n[fitness]\nspace = R\n"
+        assert main([mode, "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [ft] n_fft=2048: the transform samples k = n*delta_k, 0 <= n < n_fft, "
+            "up to 10.235, short of k_range's end 12.0\n")
         assert not out.exists()
 
     def test_negative_seed_option(self, tmp_path, capsys):
@@ -620,6 +638,9 @@ class TestMainGeneBounds:
                   "short.dat: shifted k in [1.695, 12.605] outside theory range [0.000, 12.550]"),
         ("delta_r", "delta_e0 = -10.0 (level 0), every other gene at its lower bound: path "
                     "shell1: r_eff + delta_r = -0.7000000000000002 must be positive"),
+        ("interior", "delta_e0 = 0.9500000000000001 (level 95), every other gene at its lower "
+                     "bound: path late: shifted k in [0.026, 12.490] outside theory range "
+                     "[0.150, 14.450]"),
     ])
     def test_exit_2_naming_the_level(self, tmp_path, capsys, monkeypatch, mode, case, reason):
         data = run_synth(tmp_path)
@@ -627,18 +648,29 @@ class TestMainGeneBounds:
         monkeypatch.setattr(cli, "run_ga", no_fit)
         monkeypatch.setattr(analysis, "run_ga", no_fit)
         out = tmp_path / "out"
-        if case == "short":
-            grid = KGrid(0.5, 12.5, 0.05)
-            path = synth_path(2.3, 6, grid, label="short.dat", k_pad=0.05)
-            (tmp_path / "short.dat").write_text(serialize_feff_path(path))
-            (tmp_path / "paths.manifest").write_text("short.dat\n")
-            paths = f"path_manifest = {tmp_path / 'paths.manifest'}\n"
-        else:
+        if case == "delta_r":
             paths = "[synth_paths]\nshell1 = 2.3 6 1.0\n[genes]\ndelta_r = -3 0.2 0.01\n"
+        else:
+            (path,), _, (e0, *_) = unhonoured_bounds(case)
+            (tmp_path / path.label).write_text(serialize_feff_path(path))
+            (tmp_path / "paths.manifest").write_text(f"{path.label}\n")
+            paths = (f"path_manifest = {tmp_path / 'paths.manifest'}\n"
+                     f"[genes]\ndelta_e0 = {e0.lower} {e0.upper} {e0.step}\n")
         text = (f"[run]\nmode = {mode}\noutput_dir = {out}\ndata_file = {data}\n{paths}"
                 "[ga]\npopulation_size = 20\nmax_generations = 3\n")
         assert main([mode, "--config", write_config(tmp_path, text)]) == 2
         assert capsys.readouterr().err == f"config error: [genes] {reason}\n"
+        assert not out.exists()
+
+    def test_benchmark_exits_2_before_any_timing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_ga", no_fit)
+        out = tmp_path / "out"
+        text = (f"[run]\nmode = benchmark\noutput_dir = {out}\n\n[genes]\n"
+                "delta_r = -3 0.2 0.01\n\n[benchmark]\nn_paths = 2 4\n")
+        assert main(["benchmark", "--config", write_config(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [genes] delta_e0 = -10.0 (level 0), every other gene at its lower "
+            "bound: path bench_0: r_eff + delta_r = -1.0 must be positive\n")
         assert not out.exists()
 
 

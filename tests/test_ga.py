@@ -12,6 +12,7 @@ from exafsga.ga import (
     GAError,
     GeneCodec,
     GeneSpec,
+    check_gene_specs,
     cooling_rate,
     crossover_and,
     crossover_or,
@@ -25,7 +26,7 @@ from exafsga.ga import (
     run_ga,
     select,
 )
-from exafsga.model import ModelError, PathParams
+from exafsga.model import ModelError, ModelEvaluator, PathParams
 from exafsga.paths import PathSet, ScatteringPath, synth_path
 from exafsga.spectra import FTConfig, KGrid, KSpectrum
 
@@ -560,11 +561,21 @@ class TestRechenberg:
         assert rechenberg_update(1.05, 0.0, self.CFG) == 1.0
 
 
+def theory_from(k0):
+    """The path "late", r_eff 2.3, with theory from k0 to 14.45 in steps of 0.05."""
+    k = np.arange(k0, 14.5, 0.05)
+    return ScatteringPath(label="late", degeneracy=6, r_eff=2.3, k_theory=k,
+                          f_eff=k * np.exp(-k**2 / 100), phase_scatter=-0.3 * k,
+                          phase_central=np.zeros_like(k), lam=np.full_like(k, 10.0))
+
+
 def unhonoured_bounds(case):
     """(paths, data, gene specs) on the 0.5-12.5/0.05 grid whose model fails
-    at an end of delta_e0's levels: "short", a theory range that ends at
-    12.55 under the default bounds; "delta_r", a delta_r lower bound of -3
-    for r_eff 2.3; "late", a theory range from 0.45 under delta_e0 0-5."""
+    at some level of delta_e0: "short", a theory range that ends at 12.55
+    under the default bounds; "delta_r", a delta_r lower bound of -3 for
+    r_eff 2.3; "late", a theory range from 0.45 under delta_e0 0-5; and
+    "interior", a theory range from 0.15 under delta_e0 0-1, which holds at
+    both ends and fails between them, first at 0.95."""
     grid = KGrid(0.5, 12.5, 0.05)
     specs = default_gene_specs(1)
     if case == "short":
@@ -573,12 +584,49 @@ def unhonoured_bounds(case):
         path = synth_path(2.3, 6, grid, label="shell1")
         specs = default_gene_specs(1, delta_r_bounds=(-3.0, 0.2, 0.01))
     else:
-        k = np.arange(0.45, 14.5, 0.05)
-        path = ScatteringPath(label="late", degeneracy=6, r_eff=2.3, k_theory=k,
-                              f_eff=k * np.exp(-k**2 / 100), phase_scatter=-0.3 * k,
-                              phase_central=np.zeros_like(k), lam=np.full_like(k, 10.0))
-        specs = default_gene_specs(1, e0_bounds=(0.0, 5.0, 0.01))
+        k0, upper = {"late": (0.45, 5.0), "interior": (0.15, 1.0)}[case]
+        path = theory_from(k0)
+        specs = default_gene_specs(1, e0_bounds=(0.0, upper, 0.01))
     return PathSet(paths=(path,)), KSpectrum(grid=grid, chi=np.zeros(grid.n_points)), specs
+
+
+class TestCheckGeneSpecs:
+    def test_an_interior_level_the_model_fails_at_rejected(self):
+        paths, data, specs = unhonoured_bounds("interior")
+        with pytest.raises(GAError, match=r"^delta_e0 = 0\.9500000000000001 \(level 95\), every "
+                                          r"other gene at its lower bound: path late: shifted k "
+                                          r"in \[0\.026, 12\.490\] outside theory range "
+                                          r"\[0\.150, 14\.450\]$"):
+            check_gene_specs(specs, paths, data.grid)
+
+    def test_a_level_estimate_past_the_float_range_is_no_warning(self):
+        # k^2/c over a step of 1e-300 overflows to inf far past the top level.
+        grid = KGrid(0.0, 10000.0, 5.0)
+        paths = PathSet(paths=(synth_path(2.3, 6, grid, label="far"),))
+        check_gene_specs(default_gene_specs(1, e0_bounds=(0.0, 1e-295, 1e-300)), paths, grid)
+
+    @pytest.mark.parametrize("k0", [0.0, 0.15, 0.3, 0.45])
+    @pytest.mark.parametrize("e0_bounds", [(0.0, 1.0, 0.01), (-1.0, 2.0, 0.03), (0.2, 0.6, 0.01)])
+    @pytest.mark.parametrize("grid", [KGrid(0.5, 12.5, 0.05), KGrid(0.3, 12.0, 0.0702)],
+                             ids=["0.05", "0.0702"])
+    def test_rejects_exactly_when_some_level_fails(self, k0, e0_bounds, grid):
+        # Every level evaluated, each other gene at its lower bound.
+        paths = PathSet(paths=(theory_from(k0),))
+        specs = default_gene_specs(1, e0_bounds=e0_bounds)
+        e0, rest = specs[0], [s.lower for s in specs[1:]]
+        evaluator = ModelEvaluator(paths, grid)
+        failing = []
+        for level in range(e0.n_levels):
+            try:
+                evaluator.evaluate_paths([e0.lower + level * e0.step, *rest])
+            except ModelError:
+                failing.append(level)
+        if failing:
+            with pytest.raises(GAError, match=r"^delta_e0 = .* \(level (\d+)\)") as exc:
+                check_gene_specs(specs, paths, grid)
+            assert int(re.search(r"level (\d+)", str(exc.value))[1]) in failing
+        else:
+            check_gene_specs(specs, paths, grid)
 
 
 class FitFixture:
@@ -639,6 +687,9 @@ class TestRunGA:
                     "shell1: r_eff + delta_r = -0.7000000000000002 must be positive"),
         ("late", "delta_e0 = 5.0 (level 500), every other gene at its lower bound: path "
                  "late: shifted k in [0.101, 12.447] outside theory range [0.450, 14.450]"),
+        ("interior", "delta_e0 = 0.9500000000000001 (level 95), every other gene at its lower "
+                     "bound: path late: shifted k in [0.026, 12.490] outside theory range "
+                     "[0.150, 14.450]"),
     ])
     def test_bounds_the_paths_cannot_honour_rejected_before_evolve(self, monkeypatch, case,
                                                                    message):

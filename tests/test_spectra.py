@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -200,10 +201,54 @@ class TestCheckKRange:
             check_k_range(cfg, grid)
 
     def test_more_points_than_n_fft_rejected(self, grid):
-        with pytest.raises(TransformConfigError,
-                           match=r"^n_fft=128 smaller than 191 in-range samples$"):
-            check_k_range(FTConfig(k_range=(2.5, 12.0), n_fft=128), grid)
-        assert check_k_range(FTConfig(k_range=(2.5, 8.85), n_fft=128), grid) == slice(40, 168)
+        # 128 samples of 0.05 end at 6.35: (2.5, 8.85) holds 128 grid points
+        # but would transform none past 6.35.
+        for hi in (12.0, 8.85):
+            with pytest.raises(TransformConfigError,
+                               match=r"^n_fft=128: the transform samples k = n\*delta_k, "
+                                     rf"0 <= n < n_fft, up to 6\.35, short of k_range's end {hi}$"):
+                check_k_range(FTConfig(k_range=(2.5, hi), n_fft=128), grid)
+        assert check_k_range(FTConfig(k_range=(2.5, 6.35), n_fft=128), grid) == slice(40, 118)
+
+    @pytest.mark.parametrize("grid, cfg, last", [
+        (KGrid(0.5, 12.5, 0.005), FTConfig(k_range=(2.5, 12.0)), "10.235"),
+        (KGrid(0.5, 15.0, 0.05), FTConfig(k_range=(10.0, 15.0), n_fft=256), "12.75"),
+    ])
+    def test_range_past_the_last_sample_rejected(self, grid, cfg, last):
+        hi = cfg.k_range[1]
+        message = (f"n_fft={cfg.n_fft}: the transform samples k = n*delta_k, 0 <= n < n_fft, "
+                   f"up to {last}, short of k_range's end {hi}")
+        with pytest.raises(TransformConfigError, match=f"^{re.escape(message)}$"):
+            check_k_range(cfg, grid)
+        with pytest.raises(TransformConfigError, match=f"^{re.escape(message)}$"):
+            transform_k_to_r(KSpectrum(grid=grid, chi=np.ones(grid.n_points)), cfg)
+
+    def test_range_ending_at_the_first_missing_sample_rejected(self, grid):
+        # n_fft*delta_k = 6.4 is the first k the transform does not sample.
+        assert 128 * grid.delta_k == 6.4
+        for hi in (6.4, 6.4 - 1e-10, 6.4 + 1e-10):
+            with pytest.raises(TransformConfigError, match="short of k_range's end"):
+                check_k_range(FTConfig(k_range=(2.5, hi), window_sill=0.0, n_fft=128), grid)
+        cfg = FTConfig(k_range=(2.5, 6.4 - grid.delta_k), window_sill=0.0, n_fft=128)
+        assert check_k_range(cfg, grid) == slice(40, 118)
+
+    @pytest.mark.parametrize("grid", [
+        KGrid(0.5, 12.5, 0.05), KGrid(0.5, 12.5, 0.005), KGrid(0.5, 15.0, 0.05),
+        KGrid(0.35, 12.35, 0.05), KGrid(0.5, 12.5, 0.0702), KGrid(0.0, 12.0, 0.5),
+        KGrid(0.53, 12.5, 0.01),
+    ], ids=lambda g: f"{g.k_min}-{g.k_max}/{g.delta_k}")
+    @pytest.mark.parametrize("n_fft", [16, 128, 256, 1024, 2048])
+    def test_an_accepted_range_transforms_its_last_point(self, grid, n_fft):
+        # Either the range is rejected, or without a sill a chi nonzero only
+        # at the fit's last point has a nonzero transform.
+        for hi in (6.35, 10.0, 12.0, float(grid.ks[-1])):
+            cfg = FTConfig(k_range=(2.5, hi), window_sill=0.0, n_fft=n_fft)
+            try:
+                fit = check_k_range(cfg, grid)
+            except TransformConfigError:
+                continue
+            unit = KSpectrum(grid=grid, chi=np.eye(grid.n_points)[fit.stop - 1])
+            assert np.any(transform_k_to_r(unit, cfg).chi_r != 0)
 
     def test_an_end_at_a_grid_points_decimal_holds_that_point(self, grid):
         # grid.ks[41] is 2.5500000000000003, above the 2.55 a config writes.
@@ -307,7 +352,7 @@ class TestTransform:
         spec = KSpectrum(grid=grid, chi=np.ones(grid.n_points))
         with pytest.raises(TransformConfigError, match="no grid samples"):
             transform_k_to_r(spec, FTConfig(k_range=(2.1, 2.4), window_sill=0.1))
-        with pytest.raises(TransformConfigError, match="smaller than 17 in-range samples"):
+        with pytest.raises(TransformConfigError, match="up to 7.5, short of k_range's end 10.0"):
             transform_k_to_r(spec, FTConfig(k_range=(2.0, 10.0), n_fft=16))
 
     def test_chi_outside_support_transforms_to_zero(self):
